@@ -108,21 +108,23 @@ class AnalysisConfig:
         "repro.predictors",
     )
     hot_methods: Tuple[str, ...] = (
+        "MemoryFrontend.load",
+        "MemoryFrontend.load_approx",
+        "MemoryFrontend.store",
         "SetAssociativeCache.access",
         "SetAssociativeCache.probe",
-        "SetAssociativeCache._probe",
+        "SetAssociativeCache.write_hit",
         "SetAssociativeCache.contains",
         "SetAssociativeCache._find",
         "SetAssociativeCache.fill",
         "SetAssociativeCache.invalidate",
         "TraceSimulator._serve_load",
-        "TraceSimulator._serve_lva_miss",
-        "TraceSimulator._serve_generic_miss",
+        "TraceSimulator._serve_precise_miss",
+        "TraceSimulator._serve_prefetch_miss",
+        "TraceSimulator._serve_technique_miss",
         "TraceSimulator._serve_store",
         "TraceSimulator._serve_store_streaming",
-        "TraceSimulator._tick_value_delay",
-        "TraceSimulator._train",
-        "TraceSimulator._fetch",
+        "TraceSimulator._fetch_arrives",
         "TwoLevelHierarchy.load",
         "TwoLevelHierarchy.store",
         "TwoLevelHierarchy._fill_l1",

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import math
+import sys
 
 from repro.core.config import ApproximatorConfig
 from repro.core.confidence import confidence_update_steps
@@ -35,6 +36,9 @@ Number = Union[int, float]
 
 #: Shared empty result for :meth:`DelayQueue.tick` when nothing is due.
 _NOTHING_DUE: Tuple = ()
+
+#: :attr:`DelayQueue.next_due` of an empty queue: beyond any load count.
+NEVER_DUE = sys.maxsize
 
 
 @dataclass(slots=True)
@@ -96,21 +100,30 @@ class ApproximatorStats:
 class DelayQueue:
     """Defers training by the value delay, measured in load instructions.
 
-    The driving simulator calls :meth:`tick` once per load instruction and
-    trains the approximator with whatever items have become due. A delay of
-    zero makes items due on the very next tick.
+    The driving simulator advances :attr:`clock` once per load
+    instruction and trains the approximator with whatever items have
+    become due. A delay of zero makes items due on the very next load.
+    :attr:`next_due` is the clock reading at which the oldest pending item
+    falls due, so a driver checks the queue with one integer comparison
+    and calls :meth:`pop` only while something is due.
     """
 
-    __slots__ = ("_delay", "_clock", "_pending")
+    __slots__ = ("_delay", "clock", "next_due", "_pending")
 
     def __init__(self, delay: int) -> None:
         self._delay = delay
-        self._clock = 0
+        #: Load instructions seen so far.
+        self.clock = 0
+        #: Clock reading at which the oldest pending item is due.
+        self.next_due = NEVER_DUE
         self._pending: Deque[Tuple[int, TrainToken, Number]] = deque()
 
     def push(self, token: TrainToken, actual: Number) -> None:
         """Schedule ``(token, actual)`` to become due after the delay."""
-        self._pending.append((self._clock + self._delay, token, actual))
+        due = self.clock + self._delay
+        if not self._pending:
+            self.next_due = due
+        self._pending.append((due, token, actual))
 
     def tick(self) -> Sequence[Tuple[TrainToken, Number]]:
         """Advance one load instruction; return the trainings now due.
@@ -119,21 +132,30 @@ class DelayQueue:
         shared empty tuple, so ticking once per load instruction allocates
         nothing on hit-dominated or technique-free paths.
         """
-        clock = self._clock + 1
-        self._clock = clock
-        pending = self._pending
-        if not pending or pending[0][0] > clock:
+        self.clock += 1
+        if self.clock < self.next_due:
             return _NOTHING_DUE
         due: List[Tuple[TrainToken, Number]] = []
-        while pending and pending[0][0] <= clock:
-            _, token, actual = pending.popleft()
-            due.append((token, actual))
+        while self.clock >= self.next_due:
+            due.append(self.pop())
         return due
+
+    def pop(self) -> Tuple[TrainToken, Number]:
+        """Remove and return the oldest item, due or not.
+
+        A driver that checks ``clock >= next_due`` itself pops exactly
+        the due items this way, without building a list.
+        """
+        pending = self._pending
+        _, token, actual = pending.popleft()
+        self.next_due = pending[0][0] if pending else NEVER_DUE
+        return token, actual
 
     def drain(self) -> List[Tuple[TrainToken, Number]]:
         """Return every pending training (end-of-run flush)."""
         due = [(token, actual) for _, token, actual in self._pending]
         self._pending.clear()
+        self.next_due = NEVER_DUE
         return due
 
     def __len__(self) -> int:
@@ -228,13 +250,18 @@ class LoadValueApproximator:
             return self.config.apply_confidence_to_floats
         return self.config.apply_confidence_to_ints
 
-    def on_miss(self, pc: int, is_float: bool) -> ApproximationDecision:
+    def on_miss(
+        self, pc: int, is_float: bool, addr: int = 0
+    ) -> ApproximationDecision:
         """Present one load miss; returns the approximation decision.
 
         The caller is responsible for issuing the fetch when
         ``decision.fetch`` is set, and for feeding the actual value back via
         :meth:`train` (after the value delay) using ``decision.token``.
+        The address is part of the ``MissPredictor`` contract; the table
+        is indexed by PC and history only, so it is ignored.
         """
+        del addr
         stats = self.stats
         stats.lookups += 1
         stats.static_pcs.add(pc)

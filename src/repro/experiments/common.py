@@ -91,8 +91,11 @@ class ExperimentResult:
         return sum(values) / len(values)
 
     @staticmethod
-    def _cell(value: float) -> str:
-        """One table cell; NaN renders as an explicit FAILED marker."""
+    def _cell(value: Optional[float]) -> str:
+        """One table cell: ``-`` when the series has no such point, an
+        explicit FAILED marker for NaN (a point that failed)."""
+        if value is None:
+            return f"{'-':>12}"
         if math.isnan(value):
             return f"{'FAILED':>12}"
         return f"{value:>12.4f}"
@@ -110,7 +113,7 @@ class ExperimentResult:
         lines = [f"== {self.name}: {self.description} ==", header]
         for workload in workloads:
             cells = " ".join(
-                self._cell(self.series[l].get(workload, float("nan"))) for l in labels
+                self._cell(self.series[l].get(workload)) for l in labels
             )
             lines.append(f"{workload:<{width}} {cells}")
         averages = " ".join(self._cell(self.average(l)) for l in labels)

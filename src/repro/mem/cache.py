@@ -9,6 +9,7 @@ the simulation front-end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional
 
 from repro.errors import ConfigurationError
@@ -76,17 +77,14 @@ class AccessResult:
 _HIT = AccessResult(hit=True)
 _MISS = AccessResult(hit=False)
 
-#: Internal probe outcomes (prefetch hits are rare enough to allocate for).
-_PROBE_MISS = 0
-_PROBE_HIT = 1
-_PROBE_PREFETCH_HIT = 2
+#: Victim key of plain-LRU fills.
+_LAST_USE = attrgetter("last_use")
 
 
 @dataclass(slots=True)
 class CacheStats:
     """Per-cache event counters."""
 
-    accesses: int = 0
     hits: int = 0
     misses: int = 0
     fills: int = 0
@@ -94,6 +92,11 @@ class CacheStats:
     writebacks: int = 0
     invalidations: int = 0
     useful_prefetches: int = 0
+
+    @property
+    def accesses(self) -> int:
+        """Probes that updated the cache: hits plus misses."""
+        return self.hits + self.misses
 
     @property
     def miss_rate(self) -> float:
@@ -138,6 +141,7 @@ class SetAssociativeCache:
         self._offset_bits = self.config.block_bytes.bit_length() - 1
         self._index_mask = self.config.num_sets - 1
         self._index_bits = self._index_mask.bit_length()
+        self._associativity = self.config.associativity
         # Plain LRU (the default) only bumps recency on a hit; inlining that
         # one store skips a virtual dispatch on the hottest path. Any other
         # policy — including an LRU subclass — goes through on_hit.
@@ -152,6 +156,7 @@ class SetAssociativeCache:
         return addr & ~(self.config.block_bytes - 1)
 
     def _decompose(self, addr: int) -> tuple:
+        """(set index, tag) of ``addr``; the per-access methods inline it."""
         block = addr >> self._offset_bits
         return block & self._index_mask, block >> self._index_bits
 
@@ -172,35 +177,35 @@ class SetAssociativeCache:
 
         Plain hits and misses return shared :class:`AccessResult`
         singletons (no allocation); callers must not mutate results.
+        The simulators use :meth:`probe`; this richer form also reports
+        whether the hit consumed a prefetch.
         """
-        outcome = self._probe(addr, is_write)
-        if outcome == _PROBE_HIT:
-            return _HIT
-        if outcome == _PROBE_MISS:
+        block = self._find(addr)
+        prefetch_hit = block is not None and block.prefetched
+        if not self.probe(addr, is_write):
             return _MISS
-        return AccessResult(hit=True, prefetch_hit=True)
+        if prefetch_hit:
+            return AccessResult(hit=True, prefetch_hit=True)
+        return _HIT
 
     def probe(self, addr: int, is_write: bool = False) -> bool:
-        """Boolean fast-path of :meth:`access`: same stats/recency updates,
-        but returns just the hit outcome and never allocates.
+        """Access ``addr`` and return whether it hit.
 
-        The simulators probe the L1 on every load instruction and only ever
-        look at ``.hit`` — this is the hottest path in the whole library.
+        Updates stats and recency exactly like :meth:`access` but never
+        allocates. The simulators probe the L1 on every load instruction,
+        so this is the hottest path in the whole library: it is one frame,
+        with the set/tag decomposition inlined.
         """
-        return self._probe(addr, is_write) != _PROBE_MISS
-
-    def _probe(self, addr: int, is_write: bool) -> int:
         clock = self._clock + 1
         self._clock = clock
         stats = self.stats
-        stats.accesses += 1
         block_bits = addr >> self._offset_bits
         block = self._sets[block_bits & self._index_mask].get(
             block_bits >> self._index_bits
         )
         if block is None:
             stats.misses += 1
-            return _PROBE_MISS
+            return False
         stats.hits += 1
         if is_write:
             block.dirty = True
@@ -211,8 +216,34 @@ class SetAssociativeCache:
         if block.prefetched:
             stats.useful_prefetches += 1
             block.prefetched = False
-            return _PROBE_PREFETCH_HIT
-        return _PROBE_HIT
+        return True
+
+    def write_hit(self, addr: int) -> bool:
+        """A write-no-allocate store: a write :meth:`probe` when ``addr``
+        is resident, otherwise nothing at all (no stats, no clock tick).
+
+        Returns whether the block was resident. Equivalent to
+        ``contains(addr) and probe(addr, is_write=True)`` in one lookup.
+        """
+        block_bits = addr >> self._offset_bits
+        block = self._sets[block_bits & self._index_mask].get(
+            block_bits >> self._index_bits
+        )
+        if block is None:
+            return False
+        clock = self._clock + 1
+        self._clock = clock
+        stats = self.stats
+        stats.hits += 1
+        block.dirty = True
+        if self._plain_lru:
+            block.last_use = clock
+        else:
+            self.policy.on_hit(block, clock)
+        if block.prefetched:
+            stats.useful_prefetches += 1
+            block.prefetched = False
+        return True
 
     def contains(self, addr: int) -> bool:
         """Non-destructive presence probe (no stats, no recency update)."""
@@ -225,22 +256,33 @@ class SetAssociativeCache:
         block address of any dirty victim. Filling a block already present
         is a no-op (e.g. a prefetch racing a demand fetch).
         """
-        self._clock += 1
-        index, tag = self._decompose(addr)
+        clock = self._clock + 1
+        self._clock = clock
+        block_bits = addr >> self._offset_bits
+        index = block_bits & self._index_mask
+        tag = block_bits >> self._index_bits
         ways = self._sets[index]
         if tag in ways:
             return _HIT
         writeback = None
-        if len(ways) >= self.config.associativity:
-            blocks = list(ways.values())
-            victim = blocks[self.policy.victim(blocks)]
+        if len(ways) >= self._associativity:
+            if self._plain_lru:
+                # First least-recently-used way in set order, exactly as
+                # LRUPolicy.victim picks it, without copying the set.
+                victim = min(ways.values(), key=_LAST_USE)
+            else:
+                blocks = list(ways.values())
+                victim = blocks[self.policy.victim(blocks)]
             del ways[victim.tag]
-            self.stats.evictions += 1
+            stats = self.stats
+            stats.evictions += 1
             if victim.dirty:
-                self.stats.writebacks += 1
+                stats.writebacks += 1
                 writeback = self._recompose(index, victim.tag)
-        block = CacheBlock(tag)
-        block.fill(tag, self._clock, prefetched=prefetched)
+            block = victim  # the freed frame takes the new block
+        else:
+            block = CacheBlock(tag)
+        block.fill(tag, clock, prefetched=prefetched)
         ways[tag] = block
         self.stats.fills += 1
         if writeback is None:
@@ -249,10 +291,10 @@ class SetAssociativeCache:
 
     def invalidate(self, addr: int) -> bool:
         """Drop the block holding ``addr`` if present (coherence)."""
-        index, tag = self._decompose(addr)
-        if tag not in self._sets[index]:
+        block_bits = addr >> self._offset_bits
+        ways = self._sets[block_bits & self._index_mask]
+        if ways.pop(block_bits >> self._index_bits, None) is None:
             return False
-        del self._sets[index][tag]
         self.stats.invalidations += 1
         return True
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -112,6 +112,9 @@ class CacheLevelPredictor(ScalarBatchFallback):
         self._l2: "OrderedDict[int, bool]" = OrderedDict()
         self._index_bits = self.config.index_bits
         self._tag_bits = self.config.tag_bits
+        # The table hash takes no history, so it is a pure function of
+        # the PC: (index, tag) pairs are memoised per PC.
+        self._pc_hashes: Dict[int, Tuple[int, int]] = {}
 
     def _probe_hierarchy(self, addr: int) -> int:
         """The level this miss is actually served from; fills the L2."""
@@ -133,7 +136,12 @@ class CacheLevelPredictor(ScalarBatchFallback):
         stats = self.stats
         stats.lookups += 1
         stats.static_pcs.add(pc)
-        index, tag = context_hash(pc, (), self._index_bits, self._tag_bits, 0)
+        hashed = self._pc_hashes.get(pc)
+        if hashed is None:
+            hashed = self._pc_hashes[pc] = context_hash(
+                pc, (), self._index_bits, self._tag_bits, 0
+            )
+        index, tag = hashed
         entry = self._table.get(index)
         if entry is None:
             entry = LevelEntry(tag, HistoryBuffer(self.config.lhb_size))
@@ -154,7 +162,7 @@ class CacheLevelPredictor(ScalarBatchFallback):
                 token=LevelToken(index, tag, None, actual_level),
             )
         stats.predictions += 1
-        l2_votes = sum(1 for level in history if level == LEVEL_L2)
+        l2_votes = history.count(LEVEL_L2)
         predicted = LEVEL_L2 if 2 * l2_votes > len(history) else LEVEL_MEMORY
         return PredictorDecision(
             predicted=True,

@@ -51,6 +51,11 @@ class PredictionDecision:
     #: True when a prediction was attempted (LHB held at least one value).
     predicted: bool
     token: PredictionToken
+    #: Never a value: a misprediction rolls back, so the core always
+    #: continues with the precise one (``MissPredictor`` contract).
+    value: Optional[Number] = None
+    #: Every miss fetches; the prediction must be validated.
+    fetch: bool = True
 
 
 @dataclass(slots=True)
@@ -86,37 +91,52 @@ class IdealizedLoadValuePredictor(ScalarBatchFallback):
         self.ghb = HistoryBuffer(self.config.ghb_size)
         self.stats = PredictorStats()
         self._table: Dict[int, ApproximatorEntry] = {}
+        config = self.config
+        self._index_bits = config.index_bits
+        self._tag_bits = config.tag_bits
+        self._drop_bits = config.mantissa_drop_bits
+        # With an empty GHB the context hash is a pure function of the PC,
+        # so (index, tag) pairs are memoised per PC (as in the approximator).
+        self._pc_hashes: Optional[Dict[int, Tuple[int, int]]] = (
+            {} if config.ghb_size == 0 else None
+        )
 
     def on_miss(self, pc: int, is_float: bool, addr: int = 0) -> PredictionDecision:
         """Present a load miss; the block is always fetched regardless."""
         del is_float, addr  # the oracle needs neither type nor address
-        self.stats.lookups += 1
-        self.stats.static_pcs.add(pc)
-        index, tag = context_hash(
-            pc,
-            self.ghb.values(),
-            self.config.index_bits,
-            self.config.tag_bits,
-            self.config.mantissa_drop_bits,
-        )
+        stats = self.stats
+        stats.lookups += 1
+        stats.static_pcs.add(pc)
+        pc_hashes = self._pc_hashes
+        if pc_hashes is not None:
+            hashed = pc_hashes.get(pc)
+            if hashed is None:
+                hashed = pc_hashes[pc] = context_hash(
+                    pc, (), self._index_bits, self._tag_bits, self._drop_bits
+                )
+            index, tag = hashed
+        else:
+            index, tag = context_hash(
+                pc, self.ghb.values(), self._index_bits, self._tag_bits, self._drop_bits
+            )
         entry = self._table.get(index)
         if entry is None:
             entry = ApproximatorEntry(
                 tag, self.config.confidence_bits, self.config.lhb_size, 0
             )
             self._table[index] = entry
-            self.stats.tag_misses += 1
+            stats.tag_misses += 1
         elif entry.tag != tag:
             entry.reallocate(tag)
-            self.stats.tag_misses += 1
+            stats.tag_misses += 1
 
         snapshot = entry.lhb.values()
         if not snapshot:
-            self.stats.cold_misses += 1
+            stats.cold_misses += 1
             return PredictionDecision(
                 predicted=False, token=PredictionToken(index, tag, snapshot)
             )
-        self.stats.predictions += 1
+        stats.predictions += 1
         return PredictionDecision(
             predicted=True, token=PredictionToken(index, tag, snapshot)
         )
@@ -128,10 +148,13 @@ class IdealizedLoadValuePredictor(ScalarBatchFallback):
         actual value appears exactly in the LHB snapshot — so the driving
         simulator can count the miss as covered.
         """
-        correct = bool(token.lhb_snapshot) and any(
-            value == actual for value in token.lhb_snapshot
-        )
-        if token.lhb_snapshot:
+        snapshot = token.lhb_snapshot
+        correct = False
+        for value in snapshot:
+            if value == actual:
+                correct = True
+                break
+        if snapshot:
             if correct:
                 self.stats.correct += 1
             else:

@@ -26,6 +26,10 @@ from repro.sim.trace import TraceRecorder
 Number = Union[int, float]
 
 
+def _unwritten(pc: int, addr: int) -> AddressError:
+    return AddressError(f"load from unwritten address {addr:#x} (pc={pc:#x})")
+
+
 class Region:
     """A named, contiguous allocation of fixed-size elements."""
 
@@ -141,36 +145,44 @@ class MemoryFrontend(abc.ABC):
             self._serve_store_streaming(addr)
         else:
             self._serve_store(addr)
-        if self.recorder is not None:
-            if getattr(self.recorder, "record_stores", False):
-                self.recorder.on_store(self._tid, addr)
+        recorder = self.recorder
+        if recorder is not None:
+            if recorder.record_stores:
+                recorder.on_store(self._tid, addr)
             else:
-                self.recorder.on_advance(self._tid, 1)
+                recorder.on_advance(self._tid, 1)
+
+    # load() and load_approx() differ only in the two flags they pass on;
+    # each does its own bookkeeping so a load costs one frame here plus
+    # the _serve_load override.
 
     def load(self, pc: int, addr: int) -> Number:
         """A precise load — never approximated, always returns the true value
         (but still exercises the cache in simulating front-ends)."""
-        return self._issue(pc, addr, approximable=False, is_float=True)
-
-    def load_approx(self, pc: int, addr: int, is_float: bool = True) -> Number:
-        """A load annotated approximate (the EnerJ-style ISA hint of
-        Section IV); simulating front-ends may clobber its value."""
-        return self._issue(pc, addr, approximable=True, is_float=is_float)
-
-    # -- shared mechanics ----------------------------------------------- #
-
-    def _issue(self, pc: int, addr: int, approximable: bool, is_float: bool) -> Number:
         self.instructions += 1
         try:
             actual = self.values[addr]
         except KeyError:
-            raise AddressError(
-                f"load from unwritten address {addr:#x} (pc={pc:#x})"
-            ) from None
-        returned = self._serve_load(pc, addr, actual, approximable, is_float)
+            raise _unwritten(pc, addr) from None
+        returned = self._serve_load(pc, addr, actual, False, True)
         if self.recorder is not None:
-            self.recorder.on_load(self._tid, pc, addr, actual, is_float, approximable)
+            self.recorder.on_load(self._tid, pc, addr, actual, True, False)
         return returned
+
+    def load_approx(self, pc: int, addr: int, is_float: bool = True) -> Number:
+        """A load annotated approximate (the EnerJ-style ISA hint of
+        Section IV); simulating front-ends may clobber its value."""
+        self.instructions += 1
+        try:
+            actual = self.values[addr]
+        except KeyError:
+            raise _unwritten(pc, addr) from None
+        returned = self._serve_load(pc, addr, actual, True, is_float)
+        if self.recorder is not None:
+            self.recorder.on_load(self._tid, pc, addr, actual, is_float, True)
+        return returned
+
+    # -- per-implementation mechanics ------------------------------------ #
 
     @abc.abstractmethod
     def _serve_load(

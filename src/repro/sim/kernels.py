@@ -981,7 +981,6 @@ def _rebuild_l1(
             frame[tag] = block
     l1._clock += clock
     stats = l1.stats
-    stats.accesses += accesses
     stats.hits += hits
     stats.misses += misses
     stats.fills += fills
@@ -1050,8 +1049,7 @@ def replay_vector(sim: "TraceSimulator", packed: "PackedTrace") -> None:
     """
     n = len(packed)
     sim.instructions += n + int(packed.gap.sum())
-    if sim._delay is not None:
-        sim._delay._clock += int(np.count_nonzero(~packed.is_store))
+    sim._delay.clock += int(np.count_nonzero(~packed.is_store))
     if n == 0:
         return
 

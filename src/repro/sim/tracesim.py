@@ -31,6 +31,7 @@ from repro.faults.memory import build_memory_model
 from repro.errors import ConfigurationError
 from repro.mem.cache import CacheConfig, SetAssociativeCache
 from repro.predictors import registry as predictor_registry
+from repro.predictors.base import MissPredictor
 from repro.predictors.lvp import IdealizedLoadValuePredictor
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.ghb import GHBPrefetcher
@@ -80,7 +81,12 @@ class TraceSimulator(MemoryFrontend):
         #: Registry name of the technique driven on misses (None = none).
         self.predictor_name: Optional[str] = None
         self.prefetcher: Optional[Prefetcher] = None
-        self._delay: Optional[DelayQueue] = None
+        #: The one technique driven on approximable misses (the object
+        #: behind whichever of the three attributes above is set).
+        self._technique: Optional[MissPredictor] = None
+        # Value-delayed trainings, clocked once per load. Never pushed to
+        # without a technique, so its next_due stays out of reach.
+        self._delay = DelayQueue(0)
         # Injected memory faults (None in the overwhelmingly common clean
         # case; the miss path pays one is-None test). Built per simulator
         # so the seeded fault pattern is deterministic per run.
@@ -89,13 +95,17 @@ class TraceSimulator(MemoryFrontend):
         # pays one is-None test per load, same idiom as the fault model).
         self._tel = sim_hook()
 
+        # The miss handler is bound once, here, as a plain function taking
+        # the simulator: a bound method stored on the instance would be a
+        # reference cycle, keeping every finished simulator (value store,
+        # L1, tables) alive until the cyclic collector runs.
+        cls = type(self)
         config = approximator_config or ApproximatorConfig()
         if mode in (Mode.LVA, Mode.LVP, Mode.PREDICTOR):
             # All technique modes resolve through the registry. The fixed
             # modes pin their historical names; PREDICTOR honours the env
-            # override, then config.predictor. Registry "lva"/"lvp" build
-            # the same classes as ever, so dispatch below stays on the
-            # bit-identical hard-coded paths for them.
+            # override, then config.predictor. Every technique is driven
+            # through the one scalar MissPredictor contract.
             name = predictor_registry.resolve_name(mode.value, config)
             technique = predictor_registry.create(name, config)
             self.predictor_name = name
@@ -105,12 +115,17 @@ class TraceSimulator(MemoryFrontend):
                 self.predictor = technique
             else:
                 self.generic_predictor = technique
+            self._technique = technique
             self._delay = DelayQueue(config.value_delay)
+            self._serve_miss = cls._serve_technique_miss
         elif mode is Mode.PREFETCH:
             self.prefetcher = prefetcher or GHBPrefetcher(
                 degree=prefetch_degree, block_bytes=l1_config.block_bytes
             )
-        elif mode is not Mode.PRECISE:
+            self._serve_miss = cls._serve_prefetch_miss
+        elif mode is Mode.PRECISE:
+            self._serve_miss = cls._serve_precise_miss
+        else:
             raise ConfigurationError(f"unknown mode {mode!r}")
 
     # ------------------------------------------------------------------ #
@@ -120,20 +135,29 @@ class TraceSimulator(MemoryFrontend):
     def _serve_load(
         self, pc: int, addr: int, actual: Number, approximable: bool, is_float: bool
     ) -> Number:
-        self.stats.loads += 1
-        self.stats.instructions = self.instructions
+        stats = self.stats
+        stats.loads += 1
         if approximable:
-            self.stats.approx_loads += 1
-            self.stats.static_approx_pcs.add(pc)
+            stats.approx_loads += 1
+            stats.static_approx_pcs.add(pc)
         if self._tel is not None:
-            self._tel.on_load(self.stats)
+            stats.instructions = self.instructions
+            self._tel.on_load(stats)
 
-        self._tick_value_delay()
+        delay = self._delay
+        now = delay.clock + 1
+        delay.clock = now
+        while now >= delay.next_due:
+            # Rollback techniques resolve coverage when the value lands
+            # (train returns True); LVA counted it at decision time.
+            token, landed = delay.pop()
+            if self._technique.train(token, landed):
+                stats.covered_misses += 1
 
         if self.l1.probe(addr):
             return actual
 
-        self.stats.raw_misses += 1
+        stats.raw_misses += 1
 
         # On a miss the value comes from the memory hierarchy; an injected
         # fault model may corrupt it in flight (silent data corruption).
@@ -144,81 +168,81 @@ class TraceSimulator(MemoryFrontend):
         if approximable and self._mem_faults is not None:
             actual, flipped = self._mem_faults.corrupt_value(actual, is_float)
             if flipped:
-                self.stats.value_bit_flips += 1
+                stats.value_bit_flips += 1
                 if self._tel is not None:
                     self._tel.on_fault("value_bit_flip", addr)
 
-        if self.prefetcher is not None:
-            self._fetch(addr)
-            for candidate in self.prefetcher.on_miss(pc, addr):
-                if not self.l1.contains(candidate):
-                    self._fetch(candidate, prefetched=True)
-            return actual
+        return self._serve_miss(self, pc, addr, actual, approximable, is_float)
 
-        if approximable:
-            if self.approximator is not None:
-                return self._serve_lva_miss(pc, addr, actual, is_float)
+    # One of the three miss handlers below is bound to ``_serve_miss`` at
+    # construction. Each fills the L1 inline unless a fault model is
+    # active and drops the fetch (see _fetch_arrives).
 
-            if self.predictor is not None:
-                decision = self.predictor.on_miss(pc, is_float)
-                if self._fetch(addr):  # LVP must always validate: 1:1 fetches
-                    self._delay.push(decision.token, actual)
-                return actual  # rollbacks restore precision
-
-            if self.generic_predictor is not None:
-                return self._serve_generic_miss(pc, addr, actual, is_float)
-
-        self._fetch(addr)
+    def _serve_precise_miss(
+        self, pc: int, addr: int, actual: Number, approximable: bool, is_float: bool
+    ) -> Number:
+        if self._mem_faults is None or self._fetch_arrives(addr):
+            self.stats.fetches += 1
+            self.l1.fill(addr)
         return actual
 
-    def _serve_lva_miss(
-        self, pc: int, addr: int, actual: Number, is_float: bool
+    def _serve_prefetch_miss(
+        self, pc: int, addr: int, actual: Number, approximable: bool, is_float: bool
     ) -> Number:
-        decision = self.approximator.on_miss(pc, is_float)
-        if self._tel is not None:
-            self._tel.on_decision(pc, addr, decision.approximated, decision.fetch)
-        if decision.fetch:
-            # A dropped fetch means the block never arrives: no training.
-            if self._fetch(addr):
-                self._delay.push(decision.token, actual)
-        else:
-            self.stats.fetches_avoided += 1
-        if decision.approximated:
-            self.stats.covered_misses += 1
-            return decision.value
+        # The prefetcher observes every miss, approximable or not.
+        stats = self.stats
+        l1 = self.l1
+        if self._mem_faults is None or self._fetch_arrives(addr):
+            stats.fetches += 1
+            l1.fill(addr)
+        for candidate in self.prefetcher.on_miss(pc, addr):
+            if not l1.contains(candidate) and (
+                self._mem_faults is None or self._fetch_arrives(candidate)
+            ):
+                stats.fetches += 1
+                stats.prefetch_fetches += 1
+                l1.fill(candidate, prefetched=True)
         return actual
 
-    def _serve_generic_miss(
-        self, pc: int, addr: int, actual: Number, is_float: bool
+    def _serve_technique_miss(
+        self, pc: int, addr: int, actual: Number, approximable: bool, is_float: bool
     ) -> Number:
-        """Drive a registry predictor through the scalar MissPredictor
-        contract (see :mod:`repro.predictors.base`).
+        """Drive the technique through the scalar MissPredictor contract
+        (see :mod:`repro.predictors.base`); precise misses just fetch.
 
         A returned value covers the miss at decision time (LVA-style); a
         value-less decision proceeds precisely, and its training may still
         report the miss as covered (rollback-style, like LVP/CLP).
         """
-        decision = self.generic_predictor.on_miss(pc, is_float, addr)
+        stats = self.stats
+        if not approximable:
+            if self._mem_faults is None or self._fetch_arrives(addr):
+                stats.fetches += 1
+                self.l1.fill(addr)
+            return actual
+        decision = self._technique.on_miss(pc, is_float, addr)
+        value = decision.value
         if self._tel is not None:
-            self._tel.on_decision(pc, addr, decision.value is not None, decision.fetch)
-        if decision.fetch:
+            self._tel.on_decision(pc, addr, value is not None, decision.fetch)
+        if not decision.fetch:
+            stats.fetches_avoided += 1
+        elif self._mem_faults is None or self._fetch_arrives(addr):
             # A dropped fetch means the block never arrives: no training.
-            if self._fetch(addr) and decision.token is not None:
+            stats.fetches += 1
+            self.l1.fill(addr)
+            if decision.token is not None:
                 self._delay.push(decision.token, actual)
-        else:
-            self.stats.fetches_avoided += 1
-        if decision.value is not None:
-            self.stats.covered_misses += 1
-            return decision.value
-        return actual
+        if value is None:
+            return actual  # rollbacks restore precision
+        stats.covered_misses += 1
+        return value
 
     def _serve_store(self, addr: int) -> None:
         self.stats.stores += 1
         # Write-no-allocate: a store miss goes straight to the next level
         # (store misses are off the critical path, Section V-A) and does not
         # fetch a block; a store hit just dirties the resident block.
-        if self.l1.contains(addr):
-            self.l1.probe(addr, is_write=True)
+        self.l1.write_hit(addr)
 
     def _serve_store_streaming(self, addr: int) -> None:
         self.stats.stores += 1
@@ -229,32 +253,14 @@ class TraceSimulator(MemoryFrontend):
     # Internals                                                          #
     # ------------------------------------------------------------------ #
 
-    def _tick_value_delay(self) -> None:
-        if self._delay is None:
-            return
-        for token, actual in self._delay.tick():
-            self._train(token, actual)
-
-    def _train(self, token, actual: Number) -> None:
-        if self.approximator is not None:
-            self.approximator.train(token, actual)
-            return
-        # Rollback techniques: coverage is resolved when the block arrives.
-        technique = self.predictor if self.predictor is not None else self.generic_predictor
-        if technique.train(token, actual):
-            self.stats.covered_misses += 1
-
-    def _fetch(self, addr: int, prefetched: bool = False) -> bool:
-        """Fetch a block into the L1; False when an injected fault drops it."""
-        if self._mem_faults is not None and self._mem_faults.drop_fetch():
+    def _fetch_arrives(self, addr: int) -> bool:
+        """Consult the fault model for one fetch; False (and counted) when
+        the injected fault drops it, so the block never arrives."""
+        if self._mem_faults.drop_fetch():
             self.stats.fetches_dropped += 1
             if self._tel is not None:
                 self._tel.on_fault("fetch_drop", addr)
             return False
-        self.stats.fetches += 1
-        if prefetched:
-            self.stats.prefetch_fetches += 1
-        self.l1.fill(addr, prefetched=prefetched)
         return True
 
     # ------------------------------------------------------------------ #
@@ -325,9 +331,9 @@ class TraceSimulator(MemoryFrontend):
         value-delayed trainings are applied so LVP coverage and LVA
         confidence are fully accounted.
         """
-        if self._delay is not None:
-            for token, actual in self._delay.drain():
-                self._train(token, actual)
+        for token, actual in self._delay.drain():
+            if self._technique.train(token, actual):
+                self.stats.covered_misses += 1
         self.stats.instructions = self.instructions
         if self._tel is not None:
             self._tel.finish(self.stats)

@@ -340,3 +340,32 @@ class TestKernelFunctions:
             )
             == []
         )
+
+
+class TestHotMethodsResolve:
+    """Every configured hot method names a method defined in a hot-path
+    module, so a rename cannot silently drop it from LVA003/LVA006."""
+
+    def test_every_entry_is_a_defined_method(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+        from repro.analysis.config import DEFAULT_CONFIG
+
+        src = Path(repro.__file__).resolve().parent.parent
+        defined = set()
+        for path in (src / "repro").rglob("*.py"):
+            parts = path.relative_to(src).with_suffix("").parts
+            module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+            if not DEFAULT_CONFIG.is_hotpath_module(module):
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    defined.update(
+                        f"{node.name}.{item.name}"
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                    )
+        assert DEFAULT_CONFIG.hot_methods
+        assert set(DEFAULT_CONFIG.hot_methods) - defined == set()

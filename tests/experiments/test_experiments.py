@@ -58,6 +58,18 @@ class TestCommon:
         assert "w1" in table and "average" in table
         assert result.average("a") == 2.0
 
+    def test_absent_cells_render_apart_from_failed_ones(self):
+        result = common.ExperimentResult("X", "desc")
+        result.add("a", "w1", 1.0)
+        result.add("a", "w2", float("nan"))
+        result.add("b", "w3", 2.0)
+        rows = {line.split()[0]: line.split()[1:] for line in result.format_table().splitlines()[2:]}
+        assert rows["w1"] == ["1.0000", "-"]
+        assert rows["w2"] == ["FAILED", "-"]
+        assert rows["w3"] == ["-", "2.0000"]
+        assert rows["average"] == ["1.0000", "2.0000"]
+        assert set(result.series["a"]) == {"w1", "w2"}  # rendering adds no points
+
 
 class TestTable1:
     def test_columns_and_workloads(self):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.mem.cache import CacheConfig, SetAssociativeCache
-from repro.mem.replacement import FIFOPolicy
+from repro.mem.replacement import FIFOPolicy, LRUPolicy
 
 
 def small_cache(assoc=2, sets=4, block=64):
@@ -170,3 +170,79 @@ class TestProperties:
         for addr in addrs:
             cache.fill(addr)
             assert cache.access(addr).hit
+
+
+class SubclassedLRU(LRUPolicy):
+    """Behaves exactly like LRUPolicy but forces the generic policy path
+    (the cache only inlines recency and victim choice for plain LRU)."""
+
+
+cache_op = st.one_of(
+    st.tuples(st.just("fill"), st.integers(0, 0x1FFF), st.booleans()),
+    st.tuples(st.just("probe"), st.integers(0, 0x1FFF), st.booleans()),
+    st.tuples(st.just("write_hit"), st.integers(0, 0x1FFF)),
+    st.tuples(st.just("access"), st.integers(0, 0x1FFF), st.booleans()),
+    st.tuples(st.just("invalidate"), st.integers(0, 0x1FFF)),
+)
+
+
+def _drive(cache, ops):
+    outcomes = []
+    for kind, addr, *flag in ops:
+        if kind == "fill":
+            outcomes.append(cache.fill(addr, prefetched=flag[0]))
+        elif kind == "probe":
+            outcomes.append(cache.probe(addr, is_write=flag[0]))
+        elif kind == "access":
+            outcomes.append(cache.access(addr, is_write=flag[0]))
+        else:
+            outcomes.append(getattr(cache, kind)(addr))
+    return outcomes
+
+
+def _resident(cache):
+    return sorted(
+        (cache._recompose(index, block.tag), block.dirty, block.prefetched, block.last_use)
+        for index, ways in enumerate(cache._sets)
+        for block in ways.values()
+    )
+
+
+class ComposedWriteHit(SetAssociativeCache):
+    """write_hit spelled as the two calls it replaces."""
+
+    def write_hit(self, addr):
+        return self.contains(addr) and self.probe(addr, is_write=True)
+
+
+class TestPlainLRUMatchesPolicyPath:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(cache_op, max_size=300))
+    def test_same_stats_blocks_and_writebacks(self, ops):
+        config = CacheConfig(size_bytes=2 * 4 * 64, associativity=2, block_bytes=64)
+        plain = SetAssociativeCache(config)
+        generic = SetAssociativeCache(config, policy=SubclassedLRU())
+        assert plain._plain_lru and not generic._plain_lru
+        assert _drive(plain, ops) == _drive(generic, ops)
+        assert plain.stats == generic.stats
+        assert _resident(plain) == _resident(generic)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(cache_op, max_size=300))
+    def test_write_hit_is_contains_then_write_probe(self, ops):
+        config = CacheConfig(size_bytes=2 * 4 * 64, associativity=2, block_bytes=64)
+        fused = SetAssociativeCache(config)
+        composed = ComposedWriteHit(config)
+        assert _drive(fused, ops) == _drive(composed, ops)
+        assert fused.stats == composed.stats
+        assert _resident(fused) == _resident(composed)
+
+    def test_write_hit_is_a_write_probe_only_when_resident(self):
+        cache = small_cache()
+        assert not cache.write_hit(0x40)
+        assert cache.stats.accesses == 0
+        cache.fill(0x40)
+        assert cache.write_hit(0x44)
+        assert cache.stats.hits == 1 and cache.stats.accesses == 1
+        assert cache.fill(0x40 + 4 * 64).writeback is None
+        assert cache.fill(0x40 + 8 * 64).writeback == 0x40

@@ -235,3 +235,27 @@ class TestStores:
         assert sim.l1.contains(region.addr(0))
         sim.store(region.addr(0), 2.0, streaming=True)
         assert not sim.l1.contains(region.addr(0))
+
+
+class TestLifetime:
+    def test_finished_simulator_is_freed_without_the_cycle_collector(self):
+        # Sweeps build one simulator per point; a reference cycle would
+        # keep each one (value store, L1, tables) alive until a full
+        # collection, inflating peak memory.
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            for mode in Mode:
+                sim = make_sim(mode)
+                region = sim.space.alloc("x", 64)
+                fill_values(sim, region, [float(i) for i in range(64)])
+                for i in range(64):
+                    sim.load_approx(0x400, region.addr(i))
+                sim.finish()
+                ref = weakref.ref(sim)
+                del sim
+                assert ref() is None, mode
+        finally:
+            gc.enable()

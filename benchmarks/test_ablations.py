@@ -77,7 +77,7 @@ def test_lhb_size(once):
 def test_noc_model_calibration(once):
     from repro.experiments import noc_calibration
 
-    result = once(noc_calibration.run)
+    result = once(noc_calibration.DRIVER.render)
     fast = result.series["fast_latency"]
     detailed = result.series["detailed_latency"]
     # Agreement at the lowest load point, divergence bounded overall.
@@ -92,7 +92,7 @@ def test_noc_model_calibration(once):
 def test_sensitivity_tornado(once):
     from repro.experiments import sensitivity
 
-    result = once(sensitivity.run)
+    result = once(sensitivity.DRIVER.render)
     deltas = result.series["mpki_delta"]
     # The paper's two headline knobs must dominate the tornado: relaxing
     # the confidence window moves MPKI more than tweaking table size or

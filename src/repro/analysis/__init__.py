@@ -28,8 +28,8 @@ LVA007    env-influence soundness — every ``REPRO_*`` read resolves to
           reach a cache-key function, ``neutral``/``capture-only``
           variables provably do not (whole-program taint)
 LVA008    worker-path determinism — the LVA001 checks, extended
-          interprocedurally along call paths from worker entry points,
-          kernel batch functions and simulator entry points
+          interprocedurally along call paths from worker entry points
+          and simulator entry points
 LVA009    mmap write discipline — no stores into arrays obtained from
           ``np.load(mmap_mode=...)`` or ``TraceStore.get`` (the packed
           columns are shared read-only across processes)

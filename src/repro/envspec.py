@@ -14,8 +14,8 @@ Classifications:
     participates in the cache keys (``keyed_via`` names the key function
     that folds it in). Example: ``REPRO_INJECT`` memory-fault clauses.
 ``neutral``
-    The variable changes *how* results are computed or stored (kernel
-    selection, cache location, verification) but never the result bits.
+    The variable changes *how* results are computed or stored (cache
+    location, verification) but never the result bits.
     Neutrality is not taken on faith: ``pinned_by`` names the test
     module that pins the equivalence.
 ``capture-only``
@@ -139,26 +139,6 @@ PREDICTOR_ENV = _declare(
     "keyed",
     "override the registry predictor for Mode.PREDICTOR runs (lva, lvp, clp, hybrid)",
     keyed_via="repro.predictors.registry.active_override",
-)
-
-# Replay-kernel selection (repro.sim.kernels).
-REPLAY_KERNEL_ENV = _declare(
-    "REPRO_REPLAY_KERNEL",
-    "neutral",
-    "pin the trace-replay path: object, packed or vector (default vector)",
-    pinned_by="tests/sim/test_kernels.py",
-)
-REPLAY_JIT_ENV = _declare(
-    "REPRO_REPLAY_JIT",
-    "neutral",
-    "numba-compile the replay kernels' L1 oracle (falls back when absent)",
-    pinned_by="tests/sim/test_kernels.py",
-)
-REPLAY_VECTOR_MIN_ENV = _declare(
-    "REPRO_REPLAY_VECTOR_MIN",
-    "neutral",
-    "event count below which auto-selection prefers the packed interpreter (default 512)",
-    pinned_by="tests/sim/test_kernels.py",
 )
 
 # Observability (repro.telemetry).

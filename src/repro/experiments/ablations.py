@@ -204,7 +204,7 @@ def confidence_steps(small: bool = False, seed: int = 0) -> ExperimentResult:
             result.add(f"error-step-{step}", name, lva.output_error)
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
+from repro.experiments.common import Driver
 
 #: One :class:`~repro.experiments.common.ExperimentDriver` per ablation.
 DRIVERS = {
@@ -214,13 +214,3 @@ DRIVERS = {
     "ablate-int-confidence": Driver(name="ablate-int-confidence", render_fn=int_confidence, points_fn=int_confidence_points),
     "ablate-confidence-steps": Driver(name="ablate-confidence-steps", render_fn=confidence_steps, points_fn=confidence_steps_points),
 }
-table_size = deprecated_entry(DRIVERS["ablate-table-size"], "render", "repro.experiments.ablations.table_size")
-table_size_points = deprecated_entry(DRIVERS["ablate-table-size"], "points", "repro.experiments.ablations.table_size_points")
-lhb_size = deprecated_entry(DRIVERS["ablate-lhb-size"], "render", "repro.experiments.ablations.lhb_size")
-lhb_size_points = deprecated_entry(DRIVERS["ablate-lhb-size"], "points", "repro.experiments.ablations.lhb_size_points")
-compute_function = deprecated_entry(DRIVERS["ablate-compute-fn"], "render", "repro.experiments.ablations.compute_function")
-compute_function_points = deprecated_entry(DRIVERS["ablate-compute-fn"], "points", "repro.experiments.ablations.compute_function_points")
-int_confidence = deprecated_entry(DRIVERS["ablate-int-confidence"], "render", "repro.experiments.ablations.int_confidence")
-int_confidence_points = deprecated_entry(DRIVERS["ablate-int-confidence"], "points", "repro.experiments.ablations.int_confidence_points")
-confidence_steps = deprecated_entry(DRIVERS["ablate-confidence-steps"], "render", "repro.experiments.ablations.confidence_steps")
-confidence_steps_points = deprecated_entry(DRIVERS["ablate-confidence-steps"], "points", "repro.experiments.ablations.confidence_steps_points")

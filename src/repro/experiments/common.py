@@ -16,11 +16,9 @@ sweep point needs the same baseline.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
@@ -182,9 +180,6 @@ class ExperimentDriver(Protocol):
     * :meth:`run_point` — compute one declared point, warming the
       result caches;
     * :meth:`render` — assemble the figure/table, reading those caches.
-
-    The module-level ``run``/``points`` names still exist as
-    deprecation shims (see :func:`deprecated_entry`).
     """
 
     name: str
@@ -225,31 +220,6 @@ class Driver:
         # Drivers stay callable so seed-averaging helpers and existing
         # ``EXPERIMENTS[name](...)`` call sites keep working.
         return self.render(small=small, seed=seed)
-
-
-def deprecated_entry(
-    driver: ExperimentDriver, method: str, old_name: str
-) -> Callable[..., object]:
-    """A module-level shim for a pre-protocol entry point.
-
-    Calls ``getattr(driver, method)`` after emitting a
-    :class:`DeprecationWarning` naming the replacement. Keeps the old
-    ``module.run(...)`` / ``module.points(...)`` call forms working for
-    one deprecation cycle.
-    """
-    target = getattr(driver, method)
-
-    @functools.wraps(target)
-    def shim(*args: object, **kwargs: object) -> object:
-        warnings.warn(
-            f"{old_name}() is deprecated; use the ExperimentDriver protocol "
-            f"({driver.name} DRIVER.{method}()) or repro.api.run_experiment()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return target(*args, **kwargs)
-
-    return shim
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -678,12 +648,9 @@ def run_fullsystem(
     started = time.perf_counter()  # lva: ignore[LVA008]
     result = FullSystemSimulator(config).run(trace)
     if telemetry.enabled():
-        from repro.sim import kernels
-
         elapsed = time.perf_counter() - started  # lva: ignore[LVA008]
         registry = telemetry.metrics()
         registry.counter("trace.replay.count").add(1)
-        registry.counter(f"trace.replay.path.{kernels.select_fullsystem_path()}").add(1)
         if elapsed > 0:
             registry.gauge("trace.replay.events_per_s").set(len(trace) / elapsed)
     return result

@@ -70,10 +70,8 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
             result.add(f"drops@{tag}", name, lva.raw.get("fetches_dropped", 0))
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
+from repro.experiments.common import Driver
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
 DRIVER = Driver(name="ablate-memory-faults", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.fault_ablation.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.fault_ablation.points")

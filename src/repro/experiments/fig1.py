@@ -95,10 +95,8 @@ def render_frames(
     write_pgm(approx_path, render(approx))
     return precise_path, approx_path
 
-from repro.experiments.common import Driver, deprecated_entry
+from repro.experiments.common import Driver
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
 DRIVER = Driver(name="fig1", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.fig1.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.fig1.points")

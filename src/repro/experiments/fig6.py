@@ -67,10 +67,8 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
             result.add(f"error-{label}", name, lva.output_error)
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
+from repro.experiments.common import Driver
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
 DRIVER = Driver(name="fig6", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.fig6.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.fig6.points")

@@ -26,7 +26,6 @@ from repro.experiments.common import (
     BASELINE_WORKLOADS,
     Driver,
     ExperimentResult,
-    deprecated_entry,
     run_technique,
 )
 from repro.experiments.sweep import SweepPoint, technique_point
@@ -84,5 +83,3 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
 DRIVER = Driver(name="fig_predictors", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.fig_predictors.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.fig_predictors.points")

@@ -75,9 +75,8 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
         result.add("detailed_latency", label, _detailed_latency(packets, detailed_config))
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
+from repro.experiments.common import Driver
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
 DRIVER = Driver(name="ablate-noc-model", render_fn=run)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.noc_calibration.run")

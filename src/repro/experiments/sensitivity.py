@@ -90,10 +90,8 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
             result.add("error_delta", label, error - base_error)
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
+from repro.experiments.common import Driver
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
 DRIVER = Driver(name="ablate-sensitivity", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.sensitivity.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.sensitivity.points")

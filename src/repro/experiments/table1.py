@@ -65,10 +65,8 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
         result.add("paper_mpki", name, PAPER_MPKI[name])
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
+from repro.experiments.common import Driver
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
 DRIVER = Driver(name="table1", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.table1.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.table1.points")

@@ -49,9 +49,8 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
         result.add("value", key, float(value))
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
+from repro.experiments.common import Driver
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
 DRIVER = Driver(name="table2", render_fn=run)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.table2.run")

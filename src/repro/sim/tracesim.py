@@ -35,7 +35,6 @@ from repro.predictors.base import MissPredictor
 from repro.predictors.lvp import IdealizedLoadValuePredictor
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.ghb import GHBPrefetcher
-from repro.sim import kernels
 from repro.sim.frontend import MemoryFrontend
 from repro.sim.stats import SimulationStats
 from repro.sim.trace import PackedTrace, Trace, TraceRecorder
@@ -271,19 +270,9 @@ class TraceSimulator(MemoryFrontend):
         """Drive the simulator from a captured trace instead of a live
         workload; returns the final stats (:meth:`finish` is applied).
 
-        Three replay paths exist, selected by ``REPRO_REPLAY_KERNEL``
-        (see :mod:`repro.sim.kernels`):
-
-        * ``object`` — the reference interpreter over event objects;
-        * ``packed`` — the scalar interpreter over packed column tuples
-          (one tuple unpack per event, no dataclass dispatch);
-        * ``vector`` — the batched numpy kernels (the default whenever
-          the configuration is eligible; otherwise the replay downgrades
-          to ``packed``, warning when the reason is dynamic).
-
-        All three are bit-identical by contract (the equality pins live in
-        ``tests/sim/test_kernels.py`` and
-        ``tests/fullsystem/test_packed_replay.py``).
+        The input is packed first, then one loop walks its event tuples
+        through the same :meth:`_serve_load` and :meth:`_serve_store` a
+        live run uses. ``tests/sim/test_replay_pin.py`` pins its results.
 
         Replay is *open loop*: recorded values are fed to the technique
         exactly as captured, so an LVA run cannot steer the address
@@ -293,25 +282,20 @@ class TraceSimulator(MemoryFrontend):
         phase-2 — and is therefore not a substitute for
         :func:`repro.experiments.common.run_technique`'s live phase-1
         runs, whose output error depends on the clobbered values.
+
+        The gap is measurable even for a precise run of the same capture.
+        Streaming stores are recorded as plain stores, so their L1
+        invalidations are lost: small bodytrack at seed 3 replays with 633
+        raw misses against 1,187 live. And instructions retired after the
+        last recorded access are not in the trace, so on 6 of the 7
+        baseline workloads the replayed ``instructions`` falls short of
+        the live count by that trailing gap.
         """
-        path = kernels.select_path(self, len(trace))
-        if path == "vector":
-            packed = trace.pack() if isinstance(trace, Trace) else trace
-            kernels.replay_vector(self, packed)
-            return self.finish()
-        if path == "object":
-            source = trace.to_trace() if isinstance(trace, PackedTrace) else trace
-            events = (
-                (e.pc, e.addr, e.value, e.is_float, e.approximable, e.gap, e.is_store)
-                for e in source.events
-            )
-        else:  # packed
-            packed = trace.pack() if isinstance(trace, Trace) else trace
-            events = iter(packed.event_tuples())
+        packed = trace.pack() if isinstance(trace, Trace) else trace
         instructions = self.instructions
         serve_load = self._serve_load
         serve_store = self._serve_store
-        for pc, addr, value, is_float, approximable, gap, is_store in events:
+        for pc, addr, value, is_float, approximable, gap, is_store in packed.event_tuples():
             instructions += gap + 1
             self.instructions = instructions
             if is_store:

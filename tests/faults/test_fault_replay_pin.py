@@ -1,126 +1,60 @@
-"""Bit-equality pin: fault-injected replays across interpreter paths.
+"""Bit-equality pin: fault-injected replays against the object reference.
 
-PR 6's contract is that the packed interpreter is bit-identical to the
-object reference, and that the vector kernel downgrades (with a warning)
-whenever control flow would diverge — which includes active memory
-faults. This suite locks both halves of that contract *under* injected
-``flip``/``drop`` faults: the deterministic fault stream must perturb
-the object path and the packed path identically, and a vector request
-must downgrade to the same bits, never silently diverge.
+The deterministic ``flip``/``drop`` fault stream must perturb the packed
+replay exactly as it perturbed the object reference interpreter, which
+is no longer in the tree: each result is compared against
+``tests/sim/expected/replay_small.json``, recorded where the object,
+packed and vector paths all produced it, for a ``Trace`` input and for
+its packed form alike.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro import Mode, TraceRecorder, TraceSimulator, get_workload
+from repro import Mode
 from repro.faults.memory import INJECT_ENV
-from repro.sim import kernels
-
-WORKLOADS = ["fluidanimate", "swaptions"]
-FAULT_SPECS = [
-    "flip:prob=0.05,seed=7",
-    "drop:prob=0.1,seed=3",
-    "flip:prob=0.02,seed=1;drop:prob=0.05,seed=2",
-]
-MODES = [Mode.LVA, Mode.LVP, Mode.PRECISE]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warn_state():
-    kernels.reset_downgrade_warnings()
-    yield
-    kernels.reset_downgrade_warnings()
+from tests.sim.test_replay_pin import (
+    FAULT_MODES,
+    FAULT_SPECS,
+    FAULT_WORKLOADS,
+    MODES,
+    capture,
+    replay,
+)
 
 
 @pytest.fixture(scope="module")
 def traces():
     """Clean captures (fault injection never applies to capture)."""
-    captured = {}
-    for name in WORKLOADS:
-        recorder = TraceRecorder(record_stores=True)
-        sim = TraceSimulator(Mode.PRECISE, recorder=recorder)
-        get_workload(name, small=True).execute(sim, 3)
-        sim.finish()
-        captured[name] = recorder.trace
-    return captured
-
-
-def _replay(trace, mode, kernel, monkeypatch):
-    monkeypatch.setenv(kernels.ENV_KERNEL, kernel)
-    sim = TraceSimulator(mode)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", kernels.ReplayDowngradeWarning)
-        stats = sim.replay(trace.pack() if kernel != "object" else trace)
-    monkeypatch.delenv(kernels.ENV_KERNEL)
-    return stats, sim
-
-
-def _assert_same_state(a_sim, b_sim):
-    assert a_sim.l1.stats == b_sim.l1.stats
-    assert a_sim.instructions == b_sim.instructions
-    for attr in ("approximator", "predictor"):
-        a_tech, b_tech = getattr(a_sim, attr), getattr(b_sim, attr)
-        assert (a_tech is None) == (b_tech is None)
-        if a_tech is not None:
-            assert a_tech.stats == b_tech.stats
+    return {name: capture(name) for name in FAULT_WORKLOADS}
 
 
 class TestFaultedPackedPin:
-    """flip/drop replays: packed interpreter == object reference, bit for bit."""
+    """flip/drop replays: packed replay == object reference, bit for bit."""
 
     @pytest.mark.parametrize("spec", FAULT_SPECS)
-    @pytest.mark.parametrize("workload", WORKLOADS)
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("workload", FAULT_WORKLOADS)
+    @pytest.mark.parametrize("mode", [MODES[label] for label in FAULT_MODES])
     def test_packed_matches_object_under_faults(
-        self, workload, mode, spec, traces, monkeypatch
+        self, workload, mode, spec, traces, replay_pin, monkeypatch
     ):
         monkeypatch.setenv(INJECT_ENV, spec)
-        trace = traces[workload]
-        ref_stats, ref_sim = _replay(trace, mode, "object", monkeypatch)
-        packed_stats, packed_sim = _replay(trace, mode, "packed", monkeypatch)
-        assert packed_stats == ref_stats
-        _assert_same_state(packed_sim, ref_sim)
+        expected = replay_pin["faults"][spec][workload][mode.value]
+        assert replay(traces[workload], mode) == expected
+        assert replay(traces[workload], mode, packed=False) == expected
 
     def test_faults_actually_perturb_the_replay(self, traces, monkeypatch):
         """Guard against vacuous pins: the spec must change the outcome."""
         trace = traces["fluidanimate"]
-        clean_stats, _ = _replay(trace, Mode.LVA, "object", monkeypatch)
+        clean = replay(trace, Mode.LVA)
         monkeypatch.setenv(INJECT_ENV, "flip:prob=0.5,seed=7")
-        faulted_stats, _ = _replay(trace, Mode.LVA, "object", monkeypatch)
-        assert faulted_stats != clean_stats
+        assert replay(trace, Mode.LVA) != clean
 
-
-class TestFaultedVectorDowngrade:
-    """A vector request under faults downgrades loudly to identical bits."""
-
-    @pytest.mark.parametrize("spec", FAULT_SPECS)
-    def test_vector_warns_and_matches_reference(self, spec, traces, monkeypatch):
+    def test_storage_faults_leave_the_replay_clean(self, traces, monkeypatch):
+        """Storage clauses fold into nothing for replay: a pure storage
+        spec replays exactly like no spec at all."""
         trace = traces["fluidanimate"]
-        monkeypatch.setenv(INJECT_ENV, spec)
-        ref_stats, ref_sim = _replay(trace, Mode.LVA, "object", monkeypatch)
-
-        monkeypatch.setenv(kernels.ENV_KERNEL, "vector")
-        sim = TraceSimulator(Mode.LVA)
-        with pytest.warns(kernels.ReplayDowngradeWarning, match="fault injection"):
-            vec_stats = sim.replay(trace.pack())
-        monkeypatch.delenv(kernels.ENV_KERNEL)
-
-        assert vec_stats == ref_stats
-        _assert_same_state(sim, ref_sim)
-
-    def test_storage_faults_do_not_downgrade_the_kernel(self, traces, monkeypatch):
-        """Storage clauses fold into nothing for replay too: a pure
-        storage spec must leave the vector kernel eligible and clean."""
-        trace = traces["fluidanimate"]
-        ref_stats, _ = _replay(trace, Mode.LVA, "object", monkeypatch)
+        clean = replay(trace, Mode.LVA)
         monkeypatch.setenv(INJECT_ENV, "torn:target=cache;kill:site=journal")
-        monkeypatch.setenv(kernels.ENV_KERNEL, "vector")
-        sim = TraceSimulator(Mode.LVA)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", kernels.ReplayDowngradeWarning)
-            vec_stats = sim.replay(trace.pack())
-        monkeypatch.delenv(kernels.ENV_KERNEL)
-        assert vec_stats == ref_stats
+        assert replay(trace, Mode.LVA) == clean

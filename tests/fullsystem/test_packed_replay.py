@@ -1,9 +1,11 @@
 """Differential tests: packed replay is bit-identical to the object path.
 
-The packed columnar hot loop in :meth:`FullSystemSimulator.run` and
-:meth:`TraceSimulator.replay` must reproduce the object-list reference
-interpreters exactly — same scheduling, same stats, same energy — or the
-perf optimisation would silently change the science.
+The columnar hot loop in :meth:`FullSystemSimulator.run` must reproduce
+the :meth:`~FullSystemSimulator.replay_events` reference interpreter
+exactly — same scheduling, same stats, same energy — or the perf
+optimisation would silently change the science. :meth:`TraceSimulator.replay`
+has no second interpreter left, so it is held to the results pinned from
+the one it replaced.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro import (
     get_workload,
 )
 from repro.experiments.common import BASELINE_WORKLOADS
+from tests.sim.test_replay_pin import FLUIDANIMATE_CONFIGS, MODES, replay
 
 
 def capture(name: str, seed: int = 3):
@@ -54,17 +57,17 @@ class TestFullSystemBitEquality:
         packed = FullSystemSimulator(FullSystemConfig()).run(trace.pack())
         assert_results_equal(reference, packed)
 
-    @pytest.mark.parametrize("path", ["object", "packed", "vector"])
-    def test_every_run_path_matches_replay_events(self, path, monkeypatch):
+    def test_every_run_path_matches_replay_events(self):
+        """A ``Trace`` and a ``PackedTrace`` input take the one columnar
+        queue builder alike."""
         trace = capture("canneal")
         config = FullSystemConfig(
             approximate=True,
             approximator=ApproximatorConfig(approximation_degree=4),
         )
         reference = FullSystemSimulator(config).replay_events(trace)
-        monkeypatch.setenv("REPRO_REPLAY_KERNEL", path)
-        pinned = FullSystemSimulator(config).run(trace.pack())
-        assert_results_equal(reference, pinned)
+        for source in (trace, trace.pack()):
+            assert_results_equal(reference, FullSystemSimulator(config).run(source))
 
     @pytest.mark.parametrize("name", BASELINE_WORKLOADS)
     def test_packed_run_matches_object_reference_with_lva(self, name):
@@ -85,44 +88,22 @@ class TestFullSystemBitEquality:
 
 
 class TestTraceSimReplayBitEquality:
-    @pytest.mark.parametrize(
-        "mode", [Mode.PRECISE, Mode.LVA, Mode.LVP, Mode.PREFETCH]
-    )
-    @pytest.mark.parametrize("path", ["packed", "vector"])
-    def test_every_replay_path_matches_object_replay(self, mode, path, monkeypatch):
-        from repro.sim import kernels
+    """Replay of a ``Trace`` and of its packed form both reproduce the
+    object reference interpreter's results, pinned in
+    ``tests/sim/expected/replay_small.json``."""
 
+    @pytest.mark.parametrize("mode", ["precise", "lva", "lvp", "prefetch"])
+    def test_every_replay_path_matches_object_replay(self, mode, replay_pin):
         trace = capture("swaptions")
-        monkeypatch.setenv(kernels.ENV_KERNEL, "object")
-        object_stats = TraceSimulator(mode).replay(trace)
-        monkeypatch.setenv(kernels.ENV_KERNEL, path)
-        # Every mode — prefetch included — replays vector-eligible now.
-        pinned_stats = TraceSimulator(mode).replay(trace.pack())
-        assert pinned_stats == object_stats
+        expected = replay_pin["modes"]["swaptions"][mode]
+        assert replay(trace, MODES[mode]) == expected
+        assert replay(trace, MODES[mode], packed=False) == expected
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            ApproximatorConfig(approximation_degree=2),
-            ApproximatorConfig(approximation_degree=4, ghb_size=2),
-            ApproximatorConfig(predictor="clp"),
-            ApproximatorConfig(predictor="hybrid"),
-            ApproximatorConfig(predictor="hybrid", approximation_degree=2),
-        ],
-        ids=["deg2", "deg4-ghb2", "clp", "hybrid", "hybrid-deg2"],
-    )
-    @pytest.mark.parametrize("path", ["packed", "vector"])
-    def test_degree_and_predictor_configs_match_object_replay(
-        self, config, path, monkeypatch
-    ):
-        from repro.sim import kernels
-
+    @pytest.mark.parametrize("label", ["deg2", "deg4-ghb2", "clp", "hybrid", "hybrid-deg2"])
+    def test_degree_and_predictor_configs_match_object_replay(self, label, replay_pin):
+        config = FLUIDANIMATE_CONFIGS[label]
         mode = Mode.PREDICTOR if config.predictor else Mode.LVA
         trace = capture("fluidanimate")
-        monkeypatch.setenv(kernels.ENV_KERNEL, "object")
-        object_stats = TraceSimulator(mode, approximator_config=config).replay(trace)
-        monkeypatch.setenv(kernels.ENV_KERNEL, path)
-        pinned_stats = TraceSimulator(mode, approximator_config=config).replay(
-            trace.pack()
-        )
-        assert pinned_stats == object_stats
+        expected = replay_pin["fluidanimate"][label]
+        assert replay(trace, mode, config) == expected
+        assert replay(trace, mode, config, packed=False) == expected

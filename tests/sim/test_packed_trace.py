@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.sim.trace import TRACE_COLUMNS, LoadEvent, PackedTrace, Trace
+from repro.sim.tracesim import Mode
+from tests.sim.test_replay_pin import edge_traces, replay
 
 
 def sample_events():
@@ -178,46 +180,21 @@ class TestTraceInit:
 
 
 class TestEdgeCaseTraces:
-    """Degenerate traces must round-trip and replay identically on all
-    three replay paths (empty, store-only, single-event)."""
-
-    @staticmethod
-    def _edge_traces():
-        return {
-            "empty": Trace(),
-            "store_only": Trace([
-                LoadEvent(tid=0, pc=0, addr=0x40 * i, value=0, is_float=False,
-                          approximable=False, gap=i, is_store=True)
-                for i in range(3)
-            ]),
-            "single_load": Trace([
-                LoadEvent(tid=0, pc=0x400, addr=0x1000, value=1.5, is_float=True,
-                          approximable=True, gap=7)
-            ]),
-            "single_store": Trace([
-                LoadEvent(tid=0, pc=0, addr=0x1000, value=0, is_float=False,
-                          approximable=False, gap=0, is_store=True)
-            ]),
-        }
+    """Degenerate traces (empty, store-only, single-event) must round-trip
+    and replay, from a ``Trace`` or a ``PackedTrace``, as pinned."""
 
     @pytest.mark.parametrize("name", ["empty", "store_only", "single_load",
                                       "single_store"])
     def test_round_trip(self, name):
-        trace = self._edge_traces()[name]
+        trace = edge_traces()[name]
         packed = trace.pack()
         assert len(packed) == len(trace)
         assert packed.to_trace().events == trace.events
 
     @pytest.mark.parametrize("name", ["empty", "store_only", "single_load",
                                       "single_store"])
-    def test_replays_identically_on_all_paths(self, name, monkeypatch):
-        from repro import Mode, TraceSimulator
-
-        trace = self._edge_traces()[name]
-        results = {}
-        for path in ("object", "packed", "vector"):
-            monkeypatch.setenv("REPRO_REPLAY_KERNEL", path)
-            sim = TraceSimulator(Mode.LVA)
-            results[path] = sim.replay(trace.pack())
-        assert results["packed"] == results["object"]
-        assert results["vector"] == results["object"]
+    def test_replays_identically_on_all_paths(self, name, replay_pin):
+        trace = edge_traces()[name]
+        expected = replay_pin["edges"][name]
+        assert replay(trace, Mode.LVA) == expected
+        assert replay(trace, Mode.LVA, packed=False) == expected

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 import math
 import sys
@@ -33,9 +33,6 @@ from repro.errors import ConfigurationError
 from repro.telemetry.registry import safe_ratio
 
 Number = Union[int, float]
-
-#: Shared empty result for :meth:`DelayQueue.tick` when nothing is due.
-_NOTHING_DUE: Tuple = ()
 
 #: :attr:`DelayQueue.next_due` of an empty queue: beyond any load count.
 NEVER_DUE = sys.maxsize
@@ -125,26 +122,11 @@ class DelayQueue:
             self.next_due = due
         self._pending.append((due, token, actual))
 
-    def tick(self) -> Sequence[Tuple[TrainToken, Number]]:
-        """Advance one load instruction; return the trainings now due.
-
-        The common case — nothing pending, or nothing due yet — returns a
-        shared empty tuple, so ticking once per load instruction allocates
-        nothing on hit-dominated or technique-free paths.
-        """
-        self.clock += 1
-        if self.clock < self.next_due:
-            return _NOTHING_DUE
-        due: List[Tuple[TrainToken, Number]] = []
-        while self.clock >= self.next_due:
-            due.append(self.pop())
-        return due
-
     def pop(self) -> Tuple[TrainToken, Number]:
         """Remove and return the oldest item, due or not.
 
         A driver that checks ``clock >= next_due`` itself pops exactly
-        the due items this way, without building a list.
+        the due items this way.
         """
         pending = self._pending
         _, token, actual = pending.popleft()

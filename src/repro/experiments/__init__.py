@@ -1,9 +1,12 @@
 """Experiment drivers: one module per table/figure of the paper.
 
-Every driver exposes ``run(small=False, seed=0) -> ExperimentResult`` and
-can be executed from the command line via ``python -m repro.experiments``
-(see :mod:`repro.experiments.runner`). The benchmark harness under
-``benchmarks/`` wraps these same drivers with pytest-benchmark.
+Every driver module exposes a ``DRIVER``
+(:class:`~repro.experiments.common.ExperimentDriver`): ``points(small,
+seed)`` declares its sweep points and ``render(small, seed)`` returns the
+:class:`ExperimentResult`. Drivers run from the command line via
+``python -m repro.experiments`` (see :mod:`repro.experiments.runner`).
+The benchmark harness under ``benchmarks/`` wraps these same drivers
+with pytest-benchmark.
 
 =========  ==========================================================
 table1     Precise L1 MPKI + dynamic instruction-count variation

@@ -10,16 +10,18 @@ The paper's two-phase methodology is mirrored exactly:
   the precise run and replay it through :class:`FullSystemSimulator` with
   and without approximation.
 
-Precise reference runs are cached per (workload, seed, scale) because every
-sweep point needs the same baseline.
+Both phases break down into four kinds of point (:data:`KINDS`): a
+precise baseline, a technique run, a trace capture and a full-system
+replay. Each kind has one cached entry point, and all four go through
+one cache ladder (:func:`_memo`) keyed on the point's identity
+(:func:`identity`).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -30,11 +32,13 @@ from typing import (
     Optional,
     Protocol,
     Tuple,
+    TypeVar,
     Union,
+    cast,
     runtime_checkable,
 )
 
-from repro import envspec, faults, telemetry
+from repro import faults, telemetry
 from repro.core.config import ApproximatorConfig
 from repro.predictors import registry as predictor_registry
 from repro.energy.model import EnergyBreakdown
@@ -57,6 +61,16 @@ PHASE2_PARAMS: Dict[str, dict] = {
     "canneal": {"compute_cost": 1600},
     "bodytrack": {"compute_cost": 400},
 }
+
+
+def cell_text(value: Optional[float], precision: int = 4) -> str:
+    """One table cell: ``-`` when the series has no such point, ``FAILED``
+    for NaN (a point that failed), else the value."""
+    if value is None:
+        return "-"
+    if math.isnan(value):
+        return "FAILED"
+    return f"{value:.{precision}f}"
 
 
 @dataclass
@@ -88,16 +102,6 @@ class ExperimentResult:
             return float("nan") if self.series[label] else 0.0
         return sum(values) / len(values)
 
-    @staticmethod
-    def _cell(value: Optional[float]) -> str:
-        """One table cell: ``-`` when the series has no such point, an
-        explicit FAILED marker for NaN (a point that failed)."""
-        if value is None:
-            return f"{'-':>12}"
-        if math.isnan(value):
-            return f"{'FAILED':>12}"
-        return f"{value:>12.4f}"
-
     def format_table(self) -> str:
         """Render the result the way the paper's figure reports it."""
         labels = list(self.series)
@@ -111,10 +115,10 @@ class ExperimentResult:
         lines = [f"== {self.name}: {self.description} ==", header]
         for workload in workloads:
             cells = " ".join(
-                self._cell(self.series[l].get(workload)) for l in labels
+                f"{cell_text(self.series[l].get(workload)):>12}" for l in labels
             )
             lines.append(f"{workload:<{width}} {cells}")
-        averages = " ".join(self._cell(self.average(l)) for l in labels)
+        averages = " ".join(f"{cell_text(self.average(l)):>12}" for l in labels)
         lines.append(f"{'average':<{width}} {averages}")
         return "\n".join(lines)
 
@@ -167,26 +171,18 @@ def averaged(
 
 @runtime_checkable
 class ExperimentDriver(Protocol):
-    """The one experiment-driver contract.
-
-    Every figure/table module used to expose a duck-typed mix of
-    module-level ``run``/``points`` functions; the runner, the sweep
-    engine and programmatic callers now all speak to this protocol
-    instead:
+    """The one experiment-driver contract, spoken by the runner, the sweep
+    engine and programmatic callers:
 
     * :meth:`points` — declare the sweep points this experiment needs
-      (empty for experiments that cannot be decomposed, e.g. the
-      full-system replays);
-    * :meth:`run_point` — compute one declared point, warming the
-      result caches;
-    * :meth:`render` — assemble the figure/table, reading those caches.
+      (empty for experiments that do not decompose into points);
+    * :meth:`render` — assemble the figure/table through the cached
+      entry points (cheap once a sweep has warmed them).
     """
 
     name: str
 
     def points(self, small: bool = False, seed: int = 0) -> "List[SweepPoint]": ...
-
-    def run_point(self, point: "SweepPoint") -> object: ...
 
     def render(self, small: bool = False, seed: int = 0) -> ExperimentResult: ...
 
@@ -205,12 +201,6 @@ class Driver:
         if self.points_fn is None:
             return []
         return self.points_fn(small=small, seed=seed)
-
-    def run_point(self, point: "SweepPoint") -> object:
-        """Compute one point in-process, warming the result caches."""
-        from repro.experiments.sweep import execute_point
-
-        return execute_point(point)
 
     def render(self, small: bool = False, seed: int = 0) -> ExperimentResult:
         """Assemble the figure/table (cheap once the caches are warm)."""
@@ -231,7 +221,7 @@ def geometric_mean(values: Iterable[float]) -> float:
 
 
 # --------------------------------------------------------------------- #
-# Phase 1                                                               #
+# Results and failure placeholders                                      #
 # --------------------------------------------------------------------- #
 
 @dataclass
@@ -257,148 +247,6 @@ def failed_precise_reference(message: str) -> PreciseReference:
         mpki=float("nan"),
         fetches_per_ki=float("nan"),
     )
-
-
-_PRECISE_CACHE: Dict[Tuple[str, int, bool, tuple], PreciseReference] = {}
-
-
-#: Per-process counts of simulations actually *executed* (cache misses all
-#: the way down). The sweep engine aggregates these across workers to
-#: verify its exactly-once guarantee for precise baselines.
-@dataclass
-class ComputeCounters:
-    """How many results this process computed vs. served from a cache."""
-
-    precise_computed: int = 0
-    precise_memory_hits: int = 0
-    precise_disk_hits: int = 0
-    technique_computed: int = 0
-    technique_memory_hits: int = 0
-    technique_disk_hits: int = 0
-    traces_captured: int = 0
-    trace_memory_hits: int = 0
-    trace_store_hits: int = 0
-    fullsystem_computed: int = 0
-    fullsystem_memory_hits: int = 0
-    fullsystem_disk_hits: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "precise_computed": self.precise_computed,
-            "precise_memory_hits": self.precise_memory_hits,
-            "precise_disk_hits": self.precise_disk_hits,
-            "technique_computed": self.technique_computed,
-            "technique_memory_hits": self.technique_memory_hits,
-            "technique_disk_hits": self.technique_disk_hits,
-            "traces_captured": self.traces_captured,
-            "trace_memory_hits": self.trace_memory_hits,
-            "trace_store_hits": self.trace_store_hits,
-            "fullsystem_computed": self.fullsystem_computed,
-            "fullsystem_memory_hits": self.fullsystem_memory_hits,
-            "fullsystem_disk_hits": self.fullsystem_disk_hits,
-        }
-
-    def merge(self, other: Dict[str, int]) -> None:
-        """Accumulate a worker's counter snapshot into this one."""
-        for field_name, value in other.items():
-            setattr(self, field_name, getattr(self, field_name) + value)
-
-
-COMPUTE_COUNTERS = ComputeCounters()
-
-
-def _workload(name: str, small: bool, params: Optional[dict] = None):
-    return get_workload(name, params=params, small=small)
-
-
-def _precise_disk_key(
-    name: str, seed: int, small: bool, params_items: tuple
-) -> str:
-    return diskcache.point_key(
-        "precise", workload=name, seed=seed, small=small, params=params_items
-    )
-
-
-def technique_disk_key(
-    name: str,
-    mode: Mode,
-    config: Optional[ApproximatorConfig],
-    prefetch_degree: int,
-    seed: int,
-    small: bool,
-    params_items: tuple,
-    fault_spec: str = "",
-    predictor_override: str = "",
-) -> str:
-    """The disk-cache key of one technique point.
-
-    An active memory-fault spec is a distinct key component (omitted
-    entirely when clean, keeping clean keys stable across releases) so
-    corrupted-run results can never be served to clean runs. The
-    ``REPRO_PREDICTOR`` override gets the same treatment: it retargets
-    what a ``Mode.PREDICTOR`` point computes, so it must be a key
-    component — omitted when inactive so historical keys stay stable.
-    """
-    components = dict(
-        workload=name,
-        mode=mode,
-        config=config if config is not None else ApproximatorConfig(),
-        prefetch_degree=prefetch_degree,
-        seed=seed,
-        small=small,
-        params=params_items,
-    )
-    if fault_spec:
-        components["faults"] = fault_spec
-    if predictor_override:
-        components["predictor_override"] = predictor_override
-    return diskcache.point_key("technique", **components)
-
-
-def run_precise_reference(
-    name: str, seed: int = 0, small: bool = False, params: Optional[dict] = None
-) -> PreciseReference:
-    """Precise run through the phase-1 simulator.
-
-    Three cache layers are consulted in order: the in-process dict, the
-    on-disk :mod:`~repro.experiments.diskcache` layer (shared across
-    worker processes and invocations), then the simulation itself. The
-    simulations are deterministic, so every layer returns identical data.
-    """
-    params_items = tuple(sorted((params or {}).items()))
-    key = (name, seed, small, params_items)
-    cached = _PRECISE_CACHE.get(key)
-    if cached is not None:
-        COMPUTE_COUNTERS.precise_memory_hits += 1
-        return cached
-    disk = diskcache.active_cache()
-    disk_key = None
-    if disk is not None:
-        disk_key = _precise_disk_key(name, seed, small, params_items)
-        stored = disk.get(disk_key)
-        if isinstance(stored, PreciseReference):
-            COMPUTE_COUNTERS.precise_disk_hits += 1
-            _PRECISE_CACHE[key] = stored
-            return stored
-    # Precise references always execute clean: injected memory faults are
-    # suppressed so error under faults is measured against an
-    # uncorrupted baseline.
-    with faults.no_memory_faults():
-        workload = _workload(name, small, params)
-        sim = TraceSimulator(Mode.PRECISE)
-        output = workload.execute(sim, seed)
-        stats = sim.finish()
-    reference = PreciseReference(
-        output=output,
-        instructions=stats.instructions,
-        mpki=stats.raw_mpki,
-        fetches_per_ki=stats.fetches_per_kilo_instruction,
-    )
-    COMPUTE_COUNTERS.precise_computed += 1
-    _PRECISE_CACHE[key] = reference
-    if disk is not None:
-        disk.put(disk_key, reference)
-    return reference
 
 
 @dataclass
@@ -432,230 +280,6 @@ def failed_technique_result(message: str) -> TechniqueResult:
     )
 
 
-def is_failed(result: object) -> bool:
-    """True for the failure placeholders produced by the sweep engine."""
-    if isinstance(result, TechniqueResult):
-        return bool(result.raw.get("failed"))
-    if isinstance(result, PreciseReference):
-        return isinstance(result.output, dict) and "failed" in result.output
-    if isinstance(result, FullSystemResult):
-        return result.failure is not None
-    return False
-
-
-_TECHNIQUE_CACHE: Dict[tuple, TechniqueResult] = {}
-
-
-def run_technique(
-    name: str,
-    mode: Mode,
-    config: Optional[ApproximatorConfig] = None,
-    prefetch_degree: int = 4,
-    seed: int = 0,
-    small: bool = False,
-    params: Optional[dict] = None,
-) -> TechniqueResult:
-    """Run one workload under one technique; normalize against precise.
-
-    Results are cached on the full configuration: different figures sweep
-    overlapping design points (e.g. Figures 4 and 5 share every LVA run),
-    so the cache roughly halves the cost of regenerating the whole
-    evaluation in one process. Simulations are deterministic, making the
-    cache semantically invisible.
-    """
-    params_items = tuple(sorted((params or {}).items()))
-    fault_spec = faults.active_memory_spec()
-    predictor_override = predictor_registry.active_override(mode.value)
-    key = (
-        name, mode, config, prefetch_degree, seed, small, params_items,
-        fault_spec, predictor_override,
-    )
-    cached = _TECHNIQUE_CACHE.get(key)
-    if cached is not None:
-        COMPUTE_COUNTERS.technique_memory_hits += 1
-        return cached
-    disk = diskcache.active_cache()
-    disk_key = None
-    if disk is not None:
-        disk_key = technique_disk_key(
-            name, mode, config, prefetch_degree, seed, small, params_items,
-            fault_spec, predictor_override,
-        )
-        stored = disk.get(disk_key)
-        if isinstance(stored, TechniqueResult):
-            COMPUTE_COUNTERS.technique_disk_hits += 1
-            _TECHNIQUE_CACHE[key] = stored
-            return stored
-    reference = run_precise_reference(name, seed, small, params)
-    workload = _workload(name, small, params)
-    sim = TraceSimulator(
-        mode, approximator_config=config, prefetch_degree=prefetch_degree
-    )
-    output = workload.execute(sim, seed)
-    stats = sim.finish()
-    error = workload.output_error(reference.output, output)
-    normalized_mpki = stats.mpki / reference.mpki if reference.mpki else 1.0
-    normalized_fetches = (
-        stats.fetches_per_kilo_instruction / reference.fetches_per_ki
-        if reference.fetches_per_ki
-        else 1.0
-    )
-    variation = (
-        abs(stats.instructions - reference.instructions) / reference.instructions
-        if reference.instructions
-        else 0.0
-    )
-    outcome = TechniqueResult(
-        normalized_mpki=normalized_mpki,
-        normalized_fetches=normalized_fetches,
-        output_error=error,
-        coverage=stats.coverage,
-        instruction_variation=variation,
-        static_approx_pcs=len(stats.static_approx_pcs),
-        raw=stats.as_dict(),
-    )
-    COMPUTE_COUNTERS.technique_computed += 1
-    _TECHNIQUE_CACHE[key] = outcome
-    if disk is not None:
-        disk.put(disk_key, outcome)
-    return outcome
-
-
-# --------------------------------------------------------------------- #
-# Phase 2                                                               #
-# --------------------------------------------------------------------- #
-
-#: Environment variable bounding the in-process packed-trace LRU (entry
-#: count; default 4 — phase-2 figures iterate one workload at a time, so
-#: a handful of entries covers every access pattern we have). Declared
-#: (with its cache-key classification) in :mod:`repro.envspec`.
-TRACE_LRU_ENV = envspec.TRACE_LRU_ENV
-
-_TRACE_LRU_DEFAULT = 4
-
-
-def _trace_lru_capacity() -> int:
-    """The LRU bound, re-read from the environment on every eviction."""
-    try:
-        return max(1, int(os.environ.get(TRACE_LRU_ENV, _TRACE_LRU_DEFAULT)))
-    except ValueError:
-        return _TRACE_LRU_DEFAULT
-
-
-class _PackedTraceLRU:
-    """A small, bounded in-process cache of packed traces.
-
-    The persistent tier is the memory-mapped
-    :mod:`~repro.experiments.tracestore`; this layer only avoids
-    re-validating and re-opening the store entry on consecutive accesses
-    to the same trace. Bounded (unlike its unbounded dict predecessor) so
-    a multi-workload run no longer retains every trace forever.
-    """
-
-    def __init__(self) -> None:
-        self._entries: "OrderedDict[Tuple[str, int, bool], PackedTrace]" = (
-            OrderedDict()
-        )
-
-    def get(self, key: Tuple[str, int, bool]) -> Optional[PackedTrace]:
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key: Tuple[str, int, bool], trace: PackedTrace) -> None:
-        self._entries[key] = trace
-        self._entries.move_to_end(key)
-        capacity = _trace_lru_capacity()
-        while len(self._entries) > capacity:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._entries
-
-
-_TRACE_CACHE = _PackedTraceLRU()
-
-
-def trace_disk_key(name: str, seed: int, small: bool) -> str:
-    """The trace-store key of one (workload, seed, scale) capture."""
-    return tracestore.trace_key(name, seed, small, PHASE2_PARAMS.get(name))
-
-
-def capture_trace(name: str, seed: int = 0, small: bool = False) -> PackedTrace:
-    """The packed 4-thread load trace of a precise phase-1 run (cached).
-
-    Full-system workloads use the :data:`PHASE2_PARAMS` input scaling, the
-    analogue of the paper switching from simlarge to simmedium. Three
-    layers are consulted in order: a small in-process LRU, the
-    memory-mapped cross-process :mod:`~repro.experiments.tracestore`
-    (columns shared zero-copy between sweep workers), then the workload
-    itself is executed and the capture published to the store.
-    """
-    key = (name, seed, small)
-    cached = _TRACE_CACHE.get(key)
-    if cached is not None:
-        COMPUTE_COUNTERS.trace_memory_hits += 1
-        return cached
-    store = tracestore.active_store()
-    store_key = None
-    if store is not None:
-        store_key = trace_disk_key(name, seed, small)
-        stored = store.get(store_key)
-        if stored is not None:
-            COMPUTE_COUNTERS.trace_store_hits += 1
-            _TRACE_CACHE.put(key, stored)
-            return stored
-    params = PHASE2_PARAMS.get(name)
-    # Traces are precise replays: always captured clean (see
-    # run_precise_reference). The timing below feeds telemetry gauges
-    # only — it never touches the captured trace or any cache key.
-    started = time.perf_counter()  # lva: ignore[LVA008]
-    with faults.no_memory_faults():
-        workload = _workload(name, small, params)
-        recorder = TraceRecorder()
-        sim = TraceSimulator(Mode.PRECISE, recorder=recorder)
-        workload.execute(sim, seed)
-        sim.finish()
-    packed = recorder.trace.pack()
-    elapsed = time.perf_counter() - started  # lva: ignore[LVA008]
-    COMPUTE_COUNTERS.traces_captured += 1
-    if telemetry.enabled():
-        registry = telemetry.metrics()
-        registry.counter("trace.capture.count").add(1)
-        if elapsed > 0:
-            registry.gauge("trace.capture.events_per_s").set(len(packed) / elapsed)
-    _TRACE_CACHE.put(key, packed)
-    if store is not None:
-        store.put(store_key, packed)
-    return packed
-
-
-def run_fullsystem(
-    trace: Union[Trace, PackedTrace],
-    approximate: bool = False,
-    approximator: Optional[ApproximatorConfig] = None,
-) -> FullSystemResult:
-    """Replay a trace through the Table II platform."""
-    config = FullSystemConfig(approximate=approximate, approximator=approximator)
-    # Telemetry-only wall timing; the replay result is time-independent.
-    started = time.perf_counter()  # lva: ignore[LVA008]
-    result = FullSystemSimulator(config).run(trace)
-    if telemetry.enabled():
-        elapsed = time.perf_counter() - started  # lva: ignore[LVA008]
-        registry = telemetry.metrics()
-        registry.counter("trace.replay.count").add(1)
-        if elapsed > 0:
-            registry.gauge("trace.replay.events_per_s").set(len(trace) / elapsed)
-    return result
-
-
 def failed_fullsystem_result(message: str) -> FullSystemResult:
     """A placeholder for a full-system point that exhausted its retries.
 
@@ -682,30 +306,411 @@ def failed_fullsystem_result(message: str) -> FullSystemResult:
     )
 
 
-_FULLSYSTEM_CACHE: Dict[tuple, FullSystemResult] = {}
+def is_failed(result: object) -> bool:
+    """True for the failure placeholders produced by the sweep engine."""
+    if isinstance(result, TechniqueResult):
+        return bool(result.raw.get("failed"))
+    if isinstance(result, PreciseReference):
+        return isinstance(result.output, dict) and "failed" in result.output
+    if isinstance(result, FullSystemResult):
+        return result.failure is not None
+    return False
 
 
-def fullsystem_disk_key(
+# --------------------------------------------------------------------- #
+# Point kinds and point identity                                        #
+# --------------------------------------------------------------------- #
+
+@dataclass(frozen=True)
+class PointKind:
+    """What the cache ladder and the sweep engine know about one kind of point."""
+
+    name: str
+    #: What the disk cache (trace store, for a capture) must hold to serve a point.
+    result_type: type
+    #: The in-memory stand-in for a point that failed for good. None for a
+    #: capture: its artifact is the trace-store entry, so nothing of it is
+    #: backfilled into the parent, result or placeholder.
+    placeholder: Optional[Callable[[str], object]] = None
+    #: The kind of the point this one needs first, and the error a point
+    #: reports when that dependency failed for good.
+    dependency: Optional[str] = None
+    dependency_error: Tuple[str, str] = ("", "")
+
+
+#: The four kinds of sweep point (PAPER.md's two phases): a phase-1
+#: precise baseline and technique run, a phase-2 trace capture and
+#: full-system replay.
+KINDS: Dict[str, PointKind] = {
+    kind.name: kind
+    for kind in (
+        PointKind("precise", PreciseReference, failed_precise_reference),
+        PointKind(
+            "technique",
+            TechniqueResult,
+            failed_technique_result,
+            "precise",
+            ("BaselineFailed", "precise baseline for this point failed"),
+        ),
+        PointKind("capture", PackedTrace),
+        PointKind(
+            "fullsystem",
+            FullSystemResult,
+            failed_fullsystem_result,
+            "capture",
+            ("CaptureFailed", "trace capture for this point failed"),
+        ),
+    )
+}
+
+#: A point's kind and its defining components as ``(name, value)`` pairs.
+#: The in-process memo keys on it; the persistent layers key on its hash.
+Identity = Tuple[str, Tuple[Tuple[str, object], ...]]
+
+_BASELINE_CONFIG = ApproximatorConfig()
+
+
+def identity(
+    kind: str,
+    workload: str,
+    seed: int = 0,
+    small: bool = False,
+    params: Tuple[Tuple[str, object], ...] = (),
+    mode: Optional[Mode] = None,
+    config: Optional[ApproximatorConfig] = None,
+    prefetch_degree: int = 4,
+    fault_spec: str = "",
+    predictor_override: str = "",
+    approximate: bool = False,
+) -> Identity:
+    """The identity of one point of ``kind``; arguments it ignores play no part.
+
+    * precise: the workload run (workload, seed, scale, parameters).
+      Baselines always execute clean.
+    * technique: the workload run plus mode, approximator config and
+      prefetch degree. An active memory-fault spec and the
+      ``REPRO_PREDICTOR`` override (which retargets ``Mode.PREDICTOR``
+      points) are components only when set, so clean keys stay stable.
+    * capture: workload, seed and scale; the :data:`PHASE2_PARAMS`
+      scaling and the trace schema join in :func:`disk_key`.
+    * fullsystem: workload, seed, scale, ``approximate``, the
+      approximator config and the trace schema, so replay results
+      computed from an older trace format never outlive it.
+    """
+    components: Dict[str, object] = {"workload": workload, "seed": seed, "small": small}
+    if kind == "precise":
+        components["params"] = params
+    elif kind == "technique":
+        components.update(
+            params=params,
+            mode=mode,
+            config=config if config is not None else _BASELINE_CONFIG,
+            prefetch_degree=prefetch_degree,
+        )
+        if fault_spec:
+            components["faults"] = fault_spec
+        if predictor_override:
+            components["predictor_override"] = predictor_override
+    elif kind == "fullsystem":
+        components.update(
+            approximate=approximate,
+            config=config if config is not None else _BASELINE_CONFIG,
+            trace_schema=tracestore.TRACE_SCHEMA_VERSION,
+        )
+    return kind, tuple(components.items())
+
+
+def disk_key(point: Identity) -> str:
+    """The disk-cache key of a point (the trace-store key, for a capture)."""
+    kind, components = point
+    fields = dict(components)
+    if kind == "capture":
+        name = str(fields["workload"])
+        return tracestore.trace_key(
+            name, fields["seed"], fields["small"], PHASE2_PARAMS.get(name)
+        )
+    return diskcache.point_key(kind, **fields)
+
+
+def _items(params: Optional[dict]) -> Tuple[Tuple[str, object], ...]:
+    return tuple(sorted((params or {}).items()))
+
+
+# --------------------------------------------------------------------- #
+# The cache ladder                                                      #
+# --------------------------------------------------------------------- #
+
+#: Bound of the in-process packed-trace LRU: phase-2 figures iterate one
+#: workload at a time, so a handful of entries covers every access
+#: pattern the drivers have.
+TRACE_LRU_CAPACITY = 4
+
+
+class _PackedTraceLRU(OrderedDict[Identity, PackedTrace]):
+    """A small, bounded in-process cache of packed traces.
+
+    The persistent tier is the memory-mapped
+    :mod:`~repro.experiments.tracestore`; this layer only avoids
+    re-validating and re-opening the store entry on consecutive accesses
+    to the same trace, without retaining every trace of a multi-workload
+    run.
+    """
+
+    def get(self, key, default=None):  # type: ignore[override]
+        entry = super().get(key, default)
+        if entry is not None:
+            self.move_to_end(key)
+        return entry
+
+    def __setitem__(self, key: Identity, trace: PackedTrace) -> None:
+        super().__setitem__(key, trace)
+        self.move_to_end(key)
+        while len(self) > TRACE_LRU_CAPACITY:
+            self.popitem(last=False)
+
+
+#: In-process results of precise, technique and full-system points.
+_MEMO: Dict[Identity, object] = {}
+_TRACES = _PackedTraceLRU()
+
+#: Per-process counts of how each point was served, keyed by
+#: ``(kind, "computed" | "memory" | "disk")``; "disk" counts trace-store
+#: hits for captures. The sweep engine aggregates per-task deltas across
+#: workers to verify its exactly-once guarantee.
+COMPUTE_COUNTS: Counter[Tuple[str, str]] = Counter()
+
+T = TypeVar("T")
+
+
+def _memo(point: Identity, compute: Callable[[], T]) -> T:
+    """Serve one point from the first layer holding it, else compute it.
+
+    The layers are the in-process memo, then the disk cache (the
+    memory-mapped trace store, for a capture, whose columns worker
+    processes share zero-copy), then ``compute``, whose result is
+    published to both. The simulations are deterministic, so every
+    layer returns identical data. The persistent key is hashed only on
+    a memo miss.
+    """
+    kind = point[0]
+    memo = _TRACES if kind == "capture" else _MEMO
+    cached = memo.get(point)
+    if cached is not None:
+        COMPUTE_COUNTS[kind, "memory"] += 1
+        return cast(T, cached)
+    store = tracestore.active_store() if kind == "capture" else diskcache.active_cache()
+    key = ""
+    if store is not None:
+        key = disk_key(point)
+        stored = store.get(key)
+        if isinstance(stored, KINDS[kind].result_type):
+            COMPUTE_COUNTS[kind, "disk"] += 1
+            memo[point] = stored
+            return cast(T, stored)
+    result = compute()
+    COMPUTE_COUNTS[kind, "computed"] += 1
+    memo[point] = result
+    if store is not None:
+        store.put(key, result)
+    return result
+
+
+def remember(point: Identity, result: object) -> None:
+    """Put a result computed elsewhere (or a failure placeholder, which
+    never reaches disk) into the in-process memo."""
+    _MEMO[point] = result
+
+
+def clear_memory_caches() -> None:
+    """Drop every in-process layer and zero :data:`COMPUTE_COUNTS`.
+
+    The disk cache and trace store stay: this is what a fresh process
+    sees.
+    """
+    _MEMO.clear()
+    _TRACES.clear()
+    COMPUTE_COUNTS.clear()
+
+
+def reset_caches() -> None:
+    """Drop every cache layer, the persistent ones (when enabled) too, so a
+    reset really does force fresh simulations."""
+    clear_memory_caches()
+    disk = diskcache.active_cache()
+    if disk is not None:
+        disk.clear()
+    store = tracestore.active_store()
+    if store is not None:
+        store.clear()
+
+
+# --------------------------------------------------------------------- #
+# Phase 1                                                               #
+# --------------------------------------------------------------------- #
+
+def _workload(name: str, small: bool, params: Optional[dict] = None):
+    return get_workload(name, params=params, small=small)
+
+
+def run_precise_reference(
+    name: str, seed: int = 0, small: bool = False, params: Optional[dict] = None
+) -> PreciseReference:
+    """Precise run through the phase-1 simulator (cached, see :func:`_memo`).
+
+    Every technique point of a workload instance needs the same baseline.
+    """
+    return _memo(
+        identity("precise", name, seed, small, _items(params)),
+        lambda: _compute_precise(name, seed, small, params),
+    )
+
+
+def _compute_precise(
+    name: str, seed: int, small: bool, params: Optional[dict]
+) -> PreciseReference:
+    # Precise references always execute clean: injected memory faults are
+    # suppressed so error under faults is measured against an
+    # uncorrupted baseline.
+    with faults.no_memory_faults():
+        workload = _workload(name, small, params)
+        sim = TraceSimulator(Mode.PRECISE)
+        output = workload.execute(sim, seed)
+        stats = sim.finish()
+    return PreciseReference(
+        output=output,
+        instructions=stats.instructions,
+        mpki=stats.raw_mpki,
+        fetches_per_ki=stats.fetches_per_kilo_instruction,
+    )
+
+
+def run_technique(
     name: str,
-    approximate: bool,
+    mode: Mode,
+    config: Optional[ApproximatorConfig] = None,
+    prefetch_degree: int = 4,
+    seed: int = 0,
+    small: bool = False,
+    params: Optional[dict] = None,
+) -> TechniqueResult:
+    """Run one workload under one technique; normalize against precise.
+
+    Results are cached on the full configuration (see :func:`_memo`):
+    different figures sweep overlapping design points (e.g. Figures 4
+    and 5 share every LVA run), and the simulations are deterministic,
+    making the cache semantically invisible.
+    """
+    point = identity(
+        "technique",
+        name,
+        seed,
+        small,
+        _items(params),
+        mode=mode,
+        config=config,
+        prefetch_degree=prefetch_degree,
+        fault_spec=faults.active_memory_spec(),
+        predictor_override=predictor_registry.active_override(mode.value),
+    )
+    return _memo(
+        point,
+        lambda: _compute_technique(name, mode, config, prefetch_degree, seed, small, params),
+    )
+
+
+def _compute_technique(
+    name: str,
+    mode: Mode,
     config: Optional[ApproximatorConfig],
+    prefetch_degree: int,
     seed: int,
     small: bool,
-) -> str:
-    """The disk-cache key of one full-system replay point.
-
-    The trace schema version participates so replay results computed
-    from an older trace format can never outlive it.
-    """
-    return diskcache.point_key(
-        "fullsystem",
-        workload=name,
-        approximate=approximate,
-        config=config if config is not None else ApproximatorConfig(),
-        seed=seed,
-        small=small,
-        trace_schema=tracestore.TRACE_SCHEMA_VERSION,
+    params: Optional[dict],
+) -> TechniqueResult:
+    reference = run_precise_reference(name, seed, small, params)
+    workload = _workload(name, small, params)
+    sim = TraceSimulator(
+        mode, approximator_config=config, prefetch_degree=prefetch_degree
     )
+    output = workload.execute(sim, seed)
+    stats = sim.finish()
+    error = workload.output_error(reference.output, output)
+    normalized_mpki = stats.mpki / reference.mpki if reference.mpki else 1.0
+    normalized_fetches = (
+        stats.fetches_per_kilo_instruction / reference.fetches_per_ki
+        if reference.fetches_per_ki
+        else 1.0
+    )
+    variation = (
+        abs(stats.instructions - reference.instructions) / reference.instructions
+        if reference.instructions
+        else 0.0
+    )
+    return TechniqueResult(
+        normalized_mpki=normalized_mpki,
+        normalized_fetches=normalized_fetches,
+        output_error=error,
+        coverage=stats.coverage,
+        instruction_variation=variation,
+        static_approx_pcs=len(stats.static_approx_pcs),
+        raw=stats.as_dict(),
+    )
+
+
+# --------------------------------------------------------------------- #
+# Phase 2                                                               #
+# --------------------------------------------------------------------- #
+
+def capture_trace(name: str, seed: int = 0, small: bool = False) -> PackedTrace:
+    """The packed 4-thread load trace of a precise phase-1 run (cached).
+
+    Full-system workloads use the :data:`PHASE2_PARAMS` input scaling, the
+    analogue of the paper switching from simlarge to simmedium. Stored
+    traces are memory-mapped from the trace store (see :func:`_memo`).
+    """
+    return _memo(
+        identity("capture", name, seed, small), lambda: _compute_capture(name, seed, small)
+    )
+
+
+def _compute_capture(name: str, seed: int, small: bool) -> PackedTrace:
+    # Traces are precise replays: always captured clean (see
+    # run_precise_reference). The timing below feeds telemetry gauges
+    # only — it never touches the captured trace or any cache key.
+    started = time.perf_counter()  # lva: ignore[LVA008]
+    with faults.no_memory_faults():
+        workload = _workload(name, small, PHASE2_PARAMS.get(name))
+        recorder = TraceRecorder()
+        sim = TraceSimulator(Mode.PRECISE, recorder=recorder)
+        workload.execute(sim, seed)
+        sim.finish()
+    packed = recorder.trace.pack()
+    elapsed = time.perf_counter() - started  # lva: ignore[LVA008]
+    if telemetry.enabled():
+        registry = telemetry.metrics()
+        registry.counter("trace.capture.count").add(1)
+        if elapsed > 0:
+            registry.gauge("trace.capture.events_per_s").set(len(packed) / elapsed)
+    return packed
+
+
+def run_fullsystem(
+    trace: Union[Trace, PackedTrace],
+    approximate: bool = False,
+    approximator: Optional[ApproximatorConfig] = None,
+) -> FullSystemResult:
+    """Replay a trace through the Table II platform."""
+    config = FullSystemConfig(approximate=approximate, approximator=approximator)
+    # Telemetry-only wall timing; the replay result is time-independent.
+    started = time.perf_counter()  # lva: ignore[LVA008]
+    result = FullSystemSimulator(config).run(trace)
+    if telemetry.enabled():
+        elapsed = time.perf_counter() - started  # lva: ignore[LVA008]
+        registry = telemetry.metrics()
+        registry.counter("trace.replay.count").add(1)
+        if elapsed > 0:
+            registry.gauge("trace.replay.events_per_s").set(len(trace) / elapsed)
+    return result
 
 
 def run_fullsystem_point(
@@ -717,50 +722,16 @@ def run_fullsystem_point(
 ) -> FullSystemResult:
     """One cached full-system replay (capture_trace + run_fullsystem).
 
-    The phase-2 analogue of :func:`run_technique`: in-process dict, then
-    the shared disk cache, then the replay itself (whose trace comes from
-    :func:`capture_trace`'s own three layers). Deterministic, so every
-    layer returns identical data.
+    The phase-2 analogue of :func:`run_technique`; its trace comes
+    through :func:`capture_trace`'s own cache ladder.
     """
-    key = (name, approximate, approximator, seed, small)
-    cached = _FULLSYSTEM_CACHE.get(key)
-    if cached is not None:
-        COMPUTE_COUNTERS.fullsystem_memory_hits += 1
-        return cached
-    disk = diskcache.active_cache()
-    disk_key = None
-    if disk is not None:
-        disk_key = fullsystem_disk_key(name, approximate, approximator, seed, small)
-        stored = disk.get(disk_key)
-        if isinstance(stored, FullSystemResult):
-            COMPUTE_COUNTERS.fullsystem_disk_hits += 1
-            _FULLSYSTEM_CACHE[key] = stored
-            return stored
-    trace = capture_trace(name, seed=seed, small=small)
-    result = run_fullsystem(trace, approximate=approximate, approximator=approximator)
-    COMPUTE_COUNTERS.fullsystem_computed += 1
-    _FULLSYSTEM_CACHE[key] = result
-    if disk is not None:
-        disk.put(disk_key, result)
-    return result
-
-
-def reset_caches() -> None:
-    """Drop cached references, technique results and traces — every layer.
-
-    Also clears the persistent disk cache and trace store (when enabled)
-    and the compute counters, so a reset really does force fresh
-    simulations.
-    """
-    _PRECISE_CACHE.clear()
-    _TECHNIQUE_CACHE.clear()
-    _TRACE_CACHE.clear()
-    _FULLSYSTEM_CACHE.clear()
-    disk = diskcache.active_cache()
-    if disk is not None:
-        disk.clear()
-    store = tracestore.active_store()
-    if store is not None:
-        store.clear()
-    global COMPUTE_COUNTERS
-    COMPUTE_COUNTERS = ComputeCounters()
+    return _memo(
+        identity(
+            "fullsystem", name, seed, small, approximate=approximate, config=approximator
+        ),
+        lambda: run_fullsystem(
+            capture_trace(name, seed=seed, small=small),
+            approximate=approximate,
+            approximator=approximator,
+        ),
+    )

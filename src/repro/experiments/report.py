@@ -8,21 +8,33 @@ regression tracking and a Markdown table for EXPERIMENTS.md-style reports.
 from __future__ import annotations
 
 import json
-from typing import Iterable, List
+import math
+from typing import Iterable, List, Optional
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, cell_text
 
 
 def to_json(result: ExperimentResult, indent: int = 2) -> str:
-    """Serialise one result (series + averages + meta) as JSON."""
+    """Serialise one result (series + averages + meta) as JSON.
+
+    A failed cell or all-failed average (NaN) is written as ``null``:
+    a bare ``NaN`` is not JSON.
+    """
     payload = {
         "name": result.name,
         "description": result.description,
-        "series": result.series,
-        "averages": {label: result.average(label) for label in result.series},
+        "series": {
+            label: {workload: _value(v) for workload, v in series.items()}
+            for label, series in result.series.items()
+        },
+        "averages": {label: _value(result.average(label)) for label in result.series},
         "meta": {k: _jsonable(v) for k, v in result.meta.items()},
     }
     return json.dumps(payload, indent=indent, sort_keys=False)
+
+
+def _value(value: float) -> Optional[float]:
+    return None if math.isnan(value) else value
 
 
 def _jsonable(value: object) -> object:
@@ -51,16 +63,9 @@ def to_markdown(result: ExperimentResult, precision: int = 4) -> str:
         "|" + "---|" * (len(labels) + 1),
     ]
     for workload in rows:
-        cells = [
-            (
-                f"{result.series[label][workload]:.{precision}f}"
-                if workload in result.series[label]
-                else "—"
-            )
-            for label in labels
-        ]
+        cells = [cell_text(result.series[label].get(workload), precision) for label in labels]
         lines.append(f"| {workload} | " + " | ".join(cells) + " |")
-    averages = [f"{result.average(label):.{precision}f}" for label in labels]
+    averages = [cell_text(result.average(label), precision) for label in labels]
     lines.append("| **average** | " + " | ".join(averages) + " |")
     return "\n".join(lines)
 

@@ -12,18 +12,18 @@ Usage::
     python -m repro.experiments --jobs 4 --resume   # continue an interrupted run
     python -m repro.experiments fig13 --inject "crash:mantissa_drop_bits=11"
 
-With ``--jobs N`` the runner first collects every sweep point the
-requested experiments declare (via their ``points()`` functions), dedupes
-them across experiments, and executes them on the
-:class:`~repro.experiments.sweep.SweepEngine` — precise baselines exactly
-once, then the technique points, all at point granularity.  The drivers
-then re-run serially in the parent against warm caches, so tables print
-in a deterministic order no matter how the points were scheduled.
-Full-system experiments decompose into replay points too: the engine
-pre-captures each needed trace once into the shared trace store, then
-fans the replays out; workers memory-map the stored columns.  The few
-experiments that cannot be decomposed into points still run whole in
-worker processes.
+With ``--jobs N`` (or any of ``--retries``, ``--point-timeout``,
+``--resume``) the runner first collects every sweep point the requested
+experiments declare (via their ``points()`` functions), dedupes them
+across experiments, and executes them on the
+:class:`~repro.experiments.sweep.SweepEngine` — precise baselines and
+trace captures exactly once, then the technique and replay points, all
+at point granularity.  The drivers then render in the parent, in the
+requested order, against warm caches, so tables print in a
+deterministic order no matter how the points were scheduled.  The two
+experiments that declare no points (``table2`` and
+``ablate-noc-model``, well under a second each) run whole in the parent
+too, their finished tables cached on disk.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional
 
@@ -92,9 +91,9 @@ DRIVERS: Dict[str, Driver] = {
 #: Backwards-compatible views of :data:`DRIVERS` (drivers are callable).
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = dict(DRIVERS)
 
-#: Experiments decomposable into sweep points.  The rest (trace replay,
-#: full-system, NoC calibration) run whole because their cost is not in
-#: cacheable ``run_technique``/``run_precise_reference`` calls.
+#: Experiments decomposable into sweep points.  The rest (the Table II
+#: constants and the NoC calibration) make none of the cached point
+#: calls; they render whole, their tables cached on disk by ``_run_one``.
 POINTS: Dict[str, Callable[..., List[SweepPoint]]] = {
     name: driver.points
     for name, driver in DRIVERS.items()
@@ -133,16 +132,15 @@ def _run_one(
     profile: bool = False,
     profiler: Optional[Profiler] = None,
 ):
-    """Worker entry point: run one experiment (possibly seed-averaged).
+    """Render one experiment (possibly seed-averaged) in this process.
 
-    Unswept experiments (the trace/full-system replays) are cached whole
-    on disk: their cost lives outside the point-level caches, but they
-    are just as deterministic, so their finished tables can be served
-    from the same disk layer. Profiled runs bypass the cache — a profile
-    of a disk read is not what ``--profile`` asks for.
+    Unswept experiments are cached whole on disk: their cost lives
+    outside the point-level caches, but they are just as deterministic,
+    so their finished tables can be served from the same disk layer.
+    Profiled runs bypass the cache — a profile of a disk read is not
+    what ``--profile`` asks for.
 
-    ``profiler`` (parent-process, in-serial runs only — it is not
-    picklable) records a component frame per experiment for the
+    ``profiler`` records a component frame per experiment for the
     ``--profile-out`` speedscope export.
     """
     started = time.time()
@@ -152,7 +150,7 @@ def _run_one(
     if disk is not None:
         stored = disk.get(_experiment_key(name, repeats, small, seed))
         if isinstance(stored, ExperimentResult):
-            return name, stored, time.time() - started, None
+            return stored, time.time() - started, None
 
     def compute() -> ExperimentResult:
         if repeats > 1:
@@ -172,49 +170,7 @@ def _run_one(
             result = compute()
     if disk is not None:
         disk.put(_experiment_key(name, repeats, small, seed), result)
-    return name, result, time.time() - started, profile_text
-
-
-def _execute(names, args, profiler: Optional[Profiler] = None):
-    """Yield (name, result, elapsed, profile) per experiment, honouring --jobs.
-
-    Swept experiments run serially in the parent — after a sweep their
-    drivers only read warm caches, so parallelising them again would buy
-    nothing.  Unswept experiments go to worker processes; completions are
-    collected with :func:`as_completed` and buffered, then yielded in the
-    requested order, so a slow first experiment no longer delays
-    *collecting* (and error-reporting) the others, only their printing.
-    """
-    if args.jobs <= 1 or len(names) == 1:
-        for name in names:
-            yield _run_one(
-                name, args.repeats, args.small, args.seed, args.profile, profiler
-            )
-        return
-
-    pooled = [i for i, name in enumerate(names) if name not in POINTS]
-    completed: Dict[int, tuple] = {}
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        futures = {
-            pool.submit(
-                _run_one, names[i], args.repeats, args.small, args.seed, args.profile
-            ): i
-            for i in pooled
-        }
-        for i, name in enumerate(names):
-            if name in POINTS:
-                completed[i] = _run_one(
-                    name, args.repeats, args.small, args.seed, args.profile, profiler
-                )
-        next_index = 0
-        while next_index < len(names) and next_index in completed:
-            yield completed.pop(next_index)
-            next_index += 1
-        for future in as_completed(futures):
-            completed[futures[future]] = future.result()
-            while next_index < len(names) and next_index in completed:
-                yield completed.pop(next_index)
-                next_index += 1
+    return result, time.time() - started, profile_text
 
 
 def main(argv=None) -> int:
@@ -256,7 +212,7 @@ def main(argv=None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="run sweep points (and unswept experiments) in N worker processes",
+        help="run sweep points in N worker processes",
     )
     parser.add_argument(
         "--profile",
@@ -372,7 +328,10 @@ def main(argv=None) -> int:
 
     results = []
     failures = 0
-    for name, result, elapsed, profile_text in _execute(names, args, profiler):
+    for name in names:
+        result, elapsed, profile_text = _run_one(
+            name, args.repeats, args.small, args.seed, args.profile, profiler
+        )
         results.append(result)
         print(result.format_table())
         if profile_text:

@@ -1,25 +1,27 @@
 """Point-level parallel sweep engine with fault-tolerant supervision.
 
-The figure/ablation drivers are sweeps over *points* — (workload, mode,
-config, seed, scale, params) tuples fed to
-:func:`~repro.experiments.common.run_technique`. Running whole experiments
-in parallel worker processes wastes most of that structure: Figures 4 and
-5 share every LVA run, every point needs the same per-workload precise
-baseline, and separate processes share no cache.
+The figure/ablation drivers are sweeps over *points*: one call each of
+the cached entry points of :mod:`~repro.experiments.common`, one per
+point kind (:data:`~repro.experiments.common.KINDS`). Running whole
+experiments in parallel worker processes wastes most of that structure:
+Figures 4 and 5 share every LVA run, every point needs the same
+per-workload precise baseline, and separate processes share no cache.
 
 This engine flips the unit of parallelism from experiments to points:
 
-1. Drivers declare their points (each driver module exposes
-   ``points(small, seed)`` alongside ``run``).
+1. Drivers declare their points (``ExperimentDriver.points``).
 2. The engine **dedupes** points across every requested experiment.
-3. The unique *precise baselines* implied by the points run first, fanned
-   out over a :class:`~concurrent.futures.ProcessPoolExecutor` — each is
-   computed **exactly once** across all workers (the wave barrier, not
-   locking, provides the guarantee).
-4. The technique points fan out next; workers read the now-warm baselines
-   from the shared disk cache (:mod:`~repro.experiments.diskcache`).
-5. Results are backfilled into the parent's in-process caches, so the
-   drivers afterwards assemble their tables for free.
+3. The first wave runs the dependencies the points imply — unique
+   *precise baselines* and *trace captures* — fanned out over a
+   :class:`~concurrent.futures.ProcessPoolExecutor`; each is computed
+   **exactly once** across all workers (the wave barrier, not locking,
+   provides the guarantee).
+4. The technique and replay points fan out next; workers read the
+   now-warm baselines from the shared disk cache
+   (:mod:`~repro.experiments.diskcache`) and memory-map the traces.
+5. Results are backfilled into the parent's in-process memo under the
+   identity the entry points look them up by, so the drivers afterwards
+   assemble their tables for free.
 
 Because the simulations are deterministic, a table built from engine
 results is bit-identical to one built by running the driver alone.
@@ -54,15 +56,25 @@ import math
 import signal
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     ProcessPoolExecutor,
 )
 from concurrent.futures import wait as futures_wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    ContextManager,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro import faults, telemetry
 from repro.core.config import ApproximatorConfig
@@ -78,18 +90,18 @@ from repro.sim.tracesim import Mode
 class SweepPoint:
     """One unit of sweep work: a single simulator run, fully specified.
 
-    ``mode=None`` marks a precise-baseline-only point (e.g. Table I's
-    precise column, Figure 1's reference run); any technique point
-    implies its own precise baseline automatically. ``faults`` is an
-    optional memory-fault spec (see :mod:`repro.faults`) applied to the
-    technique run — baselines always execute clean.
+    ``kind`` is one of :data:`common.KINDS`. A ``precise`` point is a
+    baseline-only run (e.g. Table I's precise column, Figure 1's
+    reference run); a ``technique`` point implies its own precise
+    baseline automatically. ``faults`` is an optional memory-fault spec
+    (see :mod:`repro.faults`) applied to the technique run — baselines
+    always execute clean.
 
-    ``fullsystem=True`` marks a phase-2 replay point
+    A ``fullsystem`` point is a phase-2 replay
     (:func:`common.run_fullsystem_point`): the captured trace replays
     through the Table II platform, precisely (``approximate=False``) or
     with per-core LVA (``approximate=True``, degree from ``config``).
-    Full-system points depend on their *trace capture* instead of a
-    precise phase-1 baseline.
+    It depends on its trace *capture* instead of a precise baseline.
     """
 
     workload: str
@@ -102,18 +114,13 @@ class SweepPoint:
     params: Tuple[Tuple[str, object], ...] = ()
     #: Memory-fault spec for this point ("" = clean).
     faults: str = ""
-    #: Phase-2 replay point (see class docstring).
-    fullsystem: bool = False
+    kind: str = "precise"
     #: Replay with approximation enabled (full-system points only).
     approximate: bool = False
 
     @property
-    def is_technique(self) -> bool:
-        return self.mode is not None and not self.fullsystem
-
-    @property
-    def is_fullsystem(self) -> bool:
-        return self.fullsystem
+    def fullsystem(self) -> bool:
+        return self.kind == "fullsystem"
 
     def params_dict(self) -> Optional[dict]:
         return dict(self.params) if self.params else None
@@ -158,6 +165,7 @@ def technique_point(
         small=small,
         params=tuple(sorted((params or {}).items())),
         faults=faults,
+        kind="technique",
     )
 
 
@@ -190,7 +198,7 @@ def fullsystem_point(
         config=config,
         seed=seed,
         small=small,
-        fullsystem=True,
+        kind="fullsystem",
         approximate=config is not None if approximate is None else approximate,
     )
 
@@ -206,230 +214,135 @@ def _point_fault_spec(point: SweepPoint) -> str:
         return faults.active_memory_spec()
 
 
+def point_identity(point: SweepPoint, kind: Optional[str] = None) -> common.Identity:
+    """The identity of ``point`` as a point of ``kind`` (default: its own).
+
+    The identity the ladder gives the matching ``common`` call, so the
+    engine's backfills land where the drivers look. A kind ignores the
+    fields it does not depend on: a technique point's ``precise``
+    identity is its baseline's, a replay's ``capture`` identity its
+    trace's.
+    """
+    kind = kind or point.kind
+    technique = kind == "technique"
+    return common.identity(
+        kind,
+        point.workload,
+        point.seed,
+        point.small,
+        point.params,
+        mode=point.mode,
+        config=point.config,
+        prefetch_degree=point.prefetch_degree,
+        fault_spec=_point_fault_spec(point) if technique else "",
+        predictor_override=(
+            predictor_registry.active_override(point.mode.value) if technique else ""
+        ),
+        approximate=point.approximate,
+    )
+
+
 def point_disk_key(point: SweepPoint) -> str:
     """The disk-cache (and journal) key of one sweep point."""
-    if point.fullsystem:
-        return common.fullsystem_disk_key(
-            point.workload,
-            point.approximate,
-            point.config,
-            point.seed,
-            point.small,
-        )
-    if point.is_technique:
-        return common.technique_disk_key(
-            point.workload,
-            point.mode,
-            point.config,
-            point.prefetch_degree,
-            point.seed,
-            point.small,
-            point.params,
-            _point_fault_spec(point),
-            predictor_registry.active_override(point.mode.value),
-        )
-    return common._precise_disk_key(
-        point.workload, point.seed, point.small, point.params
-    )
+    return common.disk_key(point_identity(point))
 
 
 def capture_key(point: SweepPoint) -> str:
     """The trace-store key of the capture a full-system point depends on."""
-    return common.trace_disk_key(point.workload, point.seed, point.small)
+    return common.disk_key(point_identity(point, "capture"))
 
 
 # --------------------------------------------------------------------- #
-# Worker entry points (module-level for pickling)                       #
+# The worker (module-level for pickling)                                #
 # --------------------------------------------------------------------- #
+#
+# Each adapter names its ``common`` entry point as a module attribute at
+# call time, so a wrapper rebound on ``common`` by name sees every sweep
+# computation too.
 
 
-def _counter_delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
-    return {name: after[name] - before[name] for name in after}
-
-
-def _run_precise_worker(point: SweepPoint, attempt: int = 0):
-    """Compute one precise baseline; returns (point, reference, counters).
-
-    Counters are per-task deltas — pool workers are reused across tasks,
-    so cumulative values would double-count when aggregated.
-    """
-    faults.before_point(
-        "precise", point.workload, None, point.seed, point.small, attempt=attempt
+def _run_precise(point: SweepPoint) -> common.PreciseReference:
+    return common.run_precise_reference(
+        point.workload, point.seed, point.small, point.params_dict()
     )
-    before = common.COMPUTE_COUNTERS.as_dict()
-    tracer = telemetry.tracer()
-    if tracer is None:
-        reference = common.run_precise_reference(
-            point.workload, point.seed, point.small, point.params_dict()
-        )
-    else:
-        tracer.emit(
-            "sweep.point.running",
-            point=point.describe(),
-            kind="precise",
-            attempt=attempt,
-        )
-        with tracer.span("sweep.point", point=point.describe(), kind="precise"):
-            reference = common.run_precise_reference(
-                point.workload, point.seed, point.small, point.params_dict()
-            )
-    return point, reference, _counter_delta(before, common.COMPUTE_COUNTERS.as_dict())
 
 
-def _run_technique_worker(point: SweepPoint, attempt: int = 0):
-    """Compute one technique point; returns (point, result, counters)."""
-    faults.before_point(
-        "technique",
-        point.workload,
-        point.mode.value if point.mode is not None else None,
-        point.seed,
-        point.small,
-        config=point.config,
-        attempt=attempt,
-    )
-    before = common.COMPUTE_COUNTERS.as_dict()
-    tracer = telemetry.tracer()
-    if tracer is not None:
-        tracer.emit(
-            "sweep.point.running",
-            point=point.describe(),
-            kind="technique",
-            attempt=attempt,
-        )
+def _run_technique(point: SweepPoint) -> common.TechniqueResult:
     with faults.memory_faults(point.faults):
-        if tracer is None:
-            result = common.run_technique(
-                point.workload,
-                point.mode,
-                config=point.config,
-                prefetch_degree=point.prefetch_degree,
-                seed=point.seed,
-                small=point.small,
-                params=point.params_dict(),
-            )
-        else:
-            with tracer.span(
-                "sweep.point", point=point.describe(), kind="technique"
-            ):
-                result = common.run_technique(
-                    point.workload,
-                    point.mode,
-                    config=point.config,
-                    prefetch_degree=point.prefetch_degree,
-                    seed=point.seed,
-                    small=point.small,
-                    params=point.params_dict(),
-                )
-    return point, result, _counter_delta(before, common.COMPUTE_COUNTERS.as_dict())
-
-
-def _run_capture_worker(point: SweepPoint, attempt: int = 0):
-    """Capture (or store-hit) one trace; returns (point, events, counters).
-
-    The pre-capture wave of a full-system sweep: after this task the
-    trace store holds the packed columns, so every replay worker
-    memory-maps them instead of re-running the workload.
-    """
-    faults.before_point(
-        "capture", point.workload, None, point.seed, point.small, attempt=attempt
-    )
-    before = common.COMPUTE_COUNTERS.as_dict()
-    tracer = telemetry.tracer()
-    if tracer is None:
-        trace = common.capture_trace(point.workload, point.seed, point.small)
-    else:
-        tracer.emit(
-            "sweep.point.running",
-            point=point.describe(),
-            kind="capture",
-            attempt=attempt,
-        )
-        with tracer.span("sweep.point", point=point.describe(), kind="capture"):
-            trace = common.capture_trace(point.workload, point.seed, point.small)
-    return point, len(trace), _counter_delta(before, common.COMPUTE_COUNTERS.as_dict())
-
-
-def _run_fullsystem_worker(point: SweepPoint, attempt: int = 0):
-    """Compute one full-system replay; returns (point, result, counters)."""
-    faults.before_point(
-        "fullsystem",
-        point.workload,
-        "lva" if point.approximate else "baseline",
-        point.seed,
-        point.small,
-        config=point.config,
-        attempt=attempt,
-    )
-    before = common.COMPUTE_COUNTERS.as_dict()
-    tracer = telemetry.tracer()
-    if tracer is None:
-        result = common.run_fullsystem_point(
+        return common.run_technique(
             point.workload,
-            approximate=point.approximate,
-            approximator=point.config,
+            point.mode,
+            config=point.config,
+            prefetch_degree=point.prefetch_degree,
             seed=point.seed,
             small=point.small,
+            params=point.params_dict(),
         )
-    else:
+
+
+def _run_capture(point: SweepPoint) -> int:
+    # The pre-capture wave: afterwards the trace store holds the packed
+    # columns, which every replay worker memory-maps instead of
+    # re-running the workload. Only the event count travels back.
+    return len(common.capture_trace(point.workload, point.seed, point.small))
+
+
+def _run_fullsystem(point: SweepPoint) -> FullSystemResult:
+    return common.run_fullsystem_point(
+        point.workload,
+        approximate=point.approximate,
+        approximator=point.config,
+        seed=point.seed,
+        small=point.small,
+    )
+
+
+#: kind -> (the mode label engine fault clauses select its points by,
+#: the adapter computing one point). Baselines and captures, clean runs
+#: of the workload alone, have no mode label and match no config field.
+_WORK: Dict[
+    str,
+    Tuple[Callable[[SweepPoint], Optional[str]], Callable[[SweepPoint], object]],
+] = {
+    "precise": (lambda point: None, _run_precise),
+    "technique": (lambda point: point.mode.value, _run_technique),
+    "capture": (lambda point: None, _run_capture),
+    "fullsystem": (
+        lambda point: "lva" if point.approximate else "baseline",
+        _run_fullsystem,
+    ),
+}
+
+
+def _run_point(kind: str, point: SweepPoint, attempt: int = 0):
+    """Compute one point of ``kind``; returns (result, counts).
+
+    Counts are per-task deltas of :data:`common.COMPUTE_COUNTS` — pool
+    workers are reused across tasks, so cumulative values would
+    double-count when aggregated.
+    """
+    mode_of, compute = _WORK[kind]
+    mode = mode_of(point)
+    faults.before_point(
+        kind,
+        point.workload,
+        mode,
+        point.seed,
+        point.small,
+        config=point.config if mode is not None else None,
+        attempt=attempt,
+    )
+    before = common.COMPUTE_COUNTS.copy()
+    tracer = telemetry.tracer()
+    span: ContextManager[object] = nullcontext()
+    if tracer is not None:
         tracer.emit(
-            "sweep.point.running",
-            point=point.describe(),
-            kind="fullsystem",
-            attempt=attempt,
+            "sweep.point.running", point=point.describe(), kind=kind, attempt=attempt
         )
-        with tracer.span("sweep.point", point=point.describe(), kind="fullsystem"):
-            result = common.run_fullsystem_point(
-                point.workload,
-                approximate=point.approximate,
-                approximator=point.config,
-                seed=point.seed,
-                small=point.small,
-            )
-    return point, result, _counter_delta(before, common.COMPUTE_COUNTERS.as_dict())
-
-
-# Baseline-only identity: precise runs are independent of the technique
-# fields (mode/config/prefetch_degree) and always execute clean (faults).
-def _precise_cache_key(point: SweepPoint) -> tuple:  # lva: ignore[LVA002]
-    return (point.workload, point.seed, point.small, point.params)
-
-
-def _technique_cache_key(point: SweepPoint) -> tuple:  # lva: ignore[LVA002]
-    return (
-        point.workload,
-        point.mode,
-        point.config,
-        point.prefetch_degree,
-        point.seed,
-        point.small,
-        point.params,
-        _point_fault_spec(point),
-        predictor_registry.active_override(point.mode.value),
-    )
-
-
-# Replay identity: the in-process key of common.run_fullsystem_point
-# (captures are precise and clean, so no mode/prefetch/fault components).
-def _fullsystem_cache_key(point: SweepPoint) -> tuple:  # lva: ignore[LVA002]
-    return (
-        point.workload,
-        point.approximate,
-        point.config,
-        point.seed,
-        point.small,
-    )
-
-
-def _backfill_precise(point: SweepPoint, reference) -> None:
-    common._PRECISE_CACHE[_precise_cache_key(point)] = reference
-
-
-def _backfill_technique(point: SweepPoint, result) -> None:
-    common._TECHNIQUE_CACHE[_technique_cache_key(point)] = result
-
-
-def _backfill_fullsystem(point: SweepPoint, result) -> None:
-    common._FULLSYSTEM_CACHE[_fullsystem_cache_key(point)] = result
+        span = tracer.span("sweep.point", point=point.describe(), kind=kind)
+    with span:
+        result = compute(point)
+    return result, common.COMPUTE_COUNTS - before
 
 
 # --------------------------------------------------------------------- #
@@ -456,26 +369,21 @@ class PointFailure:
 
 @dataclass
 class _Task:
-    """Mutable supervision state for one point."""
+    """Mutable supervision state for one point of ``kind``."""
 
-    point: SweepPoint
     kind: str
+    point: SweepPoint
+    identity: common.Identity
+    #: Disk-cache (trace-store, for a capture) and journal key.
     key: str
     attempts: int = 0
     #: ``time.monotonic()`` at the start of the current attempt (0 = unset).
     started: float = 0.0
 
-    @property
-    def worker(self):
-        return _WORKERS[self.kind]
 
-
-_WORKERS = {
-    "precise": _run_precise_worker,
-    "technique": _run_technique_worker,
-    "capture": _run_capture_worker,
-    "fullsystem": _run_fullsystem_worker,
-}
+def _task(kind: str, point: SweepPoint) -> _Task:
+    identity = point_identity(point, kind)
+    return _Task(kind, point, identity, common.disk_key(identity))
 
 
 def _sigterm_to_interrupt(signum, frame):
@@ -568,8 +476,8 @@ class SweepEngine:
     """Dedupes and executes sweep points, backfilling the caches.
 
     One engine instance is built per CLI invocation; :meth:`execute`
-    leaves ``common._PRECISE_CACHE`` / ``common._TECHNIQUE_CACHE`` warm in
-    the calling process, so driver ``run()`` functions afterwards cost
+    leaves the in-process memo of :mod:`~repro.experiments.common` warm
+    in the calling process, so driver ``render()`` calls afterwards cost
     only table assembly. ``retries``/``point_timeout``/``resume``
     configure the supervision layer (see the module docstring).
     """
@@ -596,7 +504,7 @@ class SweepEngine:
         self.jitter_seed = jitter_seed
         self._seq = itertools.count()
         self._serial_fallback = False
-        self._failed_baseline_keys: set = set()
+        self._failed_keys: set = set()
         self._old_sigterm = None
 
     # -- public entry ---------------------------------------------------- #
@@ -617,14 +525,13 @@ class SweepEngine:
         baselines: List[SweepPoint] = list(
             dict.fromkeys(point.baseline() for point in unique if not point.fullsystem)
         )
-        technique_points = [p for p in unique if p.is_technique]
-        fullsystem_points = [p for p in unique if p.is_fullsystem]
+        replays = [p for p in unique if p.fullsystem]
         # Pre-capture only pays off when workers can share the result:
         # without the trace store each process keeps its own LRU anyway.
         captures: List[SweepPoint] = []
-        if fullsystem_points and tracestore.active_store() is not None:
+        if replays and tracestore.active_store() is not None:
             seen: Dict[str, SweepPoint] = {}
-            for point in fullsystem_points:
+            for point in replays:
                 seen.setdefault(capture_key(point), point)
             captures = list(seen.values())
 
@@ -633,40 +540,31 @@ class SweepEngine:
         report.unique_points += len(unique)
         report.unique_baselines += len(baselines)
 
-        baseline_tasks = [
-            _Task(point, "precise", point_disk_key(point)) for point in baselines
+        first_wave = [_task("precise", p) for p in baselines] + [
+            _task("capture", p) for p in captures
         ]
-        capture_tasks = [
-            _Task(point, "capture", capture_key(point)) for point in captures
-        ]
-        technique_tasks = [
-            _Task(point, "technique", point_disk_key(point))
-            for point in technique_points
-        ]
-        fullsystem_tasks = [
-            _Task(point, "fullsystem", point_disk_key(point))
-            for point in fullsystem_points
+        second_wave = [
+            _task(kind, p)
+            for kind in ("technique", "fullsystem")
+            for p in unique
+            if p.kind == kind
         ]
 
         tracer = telemetry.tracer()
-        all_tasks = baseline_tasks + capture_tasks + technique_tasks + fullsystem_tasks
         if tracer is not None:
-            for task in all_tasks:
+            for task in first_wave + second_wave:
                 tracer.emit(
                     "sweep.point.queued", point=task.point.describe(), kind=task.kind
                 )
-        journal = self._open_journal(all_tasks)
+        journal = self._open_journal(first_wave + second_wave)
         self._install_signal_handler()
         try:
             if self.resume:
-                baseline_tasks = self._restore_completed(baseline_tasks, journal)
-                capture_tasks = self._restore_completed(capture_tasks, journal)
-                technique_tasks = self._restore_completed(technique_tasks, journal)
-                fullsystem_tasks = self._restore_completed(fullsystem_tasks, journal)
-            self._run_wave(baseline_tasks + capture_tasks, journal)
-            technique_tasks = self._fail_orphaned(technique_tasks, journal)
-            fullsystem_tasks = self._fail_orphaned(fullsystem_tasks, journal)
-            self._run_wave(technique_tasks + fullsystem_tasks, journal)
+                first_wave = self._restore_completed(first_wave, journal)
+                second_wave = self._restore_completed(second_wave, journal)
+            self._run_wave(first_wave, journal)
+            second_wave = self._fail_orphaned(second_wave, journal)
+            self._run_wave(second_wave, journal)
         finally:
             self._restore_signal_handler()
             journal.close()
@@ -696,33 +594,27 @@ class SweepEngine:
         the journal is bookkeeping, the cache is the source of results.
         Previously *failed* points are always retried on resume.
         """
-        disk = diskcache.active_cache()
         remaining: List[_Task] = []
         for task in tasks:
-            if task.key in journal.done and self._restore_one(task, disk):
+            if task.key in journal.done and self._restore_one(task):
                 self.report.resumed_points += 1
                 continue
             remaining.append(task)
         return remaining
 
-    def _restore_one(self, task: _Task, disk) -> bool:
+    @staticmethod
+    def _restore_one(task: _Task) -> bool:
         """Restore one journal-completed task from its persistent layer."""
         if task.kind == "capture":
+            # The trace-store entry is the artifact; nothing to backfill.
             store = tracestore.active_store()
             return store is not None and store.has(task.key)
-        if disk is None:
+        disk = diskcache.active_cache()
+        stored = disk.get(task.key) if disk is not None else None
+        if not isinstance(stored, common.KINDS[task.kind].result_type):
             return False
-        stored = disk.get(task.key)
-        if task.kind == "precise" and isinstance(stored, common.PreciseReference):
-            _backfill_precise(task.point, stored)
-            return True
-        if task.kind == "technique" and isinstance(stored, common.TechniqueResult):
-            _backfill_technique(task.point, stored)
-            return True
-        if task.kind == "fullsystem" and isinstance(stored, FullSystemResult):
-            _backfill_fullsystem(task.point, stored)
-            return True
-        return False
+        common.remember(task.identity, stored)
+        return True
 
     # -- wave orchestration ---------------------------------------------- #
 
@@ -741,23 +633,14 @@ class SweepEngine:
         point on its trace capture. Their workers would only rediscover
         the failure (against a placeholder) the slow and confusing way.
         """
-        if not self._failed_baseline_keys:
+        if not self._failed_keys:
             return tasks
         remaining: List[_Task] = []
         for task in tasks:
-            if task.kind == "fullsystem":
-                dependency_key = capture_key(task.point)
-                error_type, message = (
-                    "CaptureFailed",
-                    "trace capture for this point failed",
-                )
-            else:
-                dependency_key = point_disk_key(task.point.baseline())
-                error_type, message = (
-                    "BaselineFailed",
-                    "precise baseline for this point failed",
-                )
-            if dependency_key in self._failed_baseline_keys:
+            kind = common.KINDS[task.kind]
+            dependency = common.disk_key(point_identity(task.point, kind.dependency))
+            if dependency in self._failed_keys:
+                error_type, message = kind.dependency_error
                 failure = PointFailure(
                     point=task.point,
                     kind=task.kind,
@@ -783,7 +666,7 @@ class SweepEngine:
             while True:
                 task.started = time.monotonic()
                 try:
-                    _, result, counters = task.worker(task.point, task.attempts)
+                    result, counts = _run_point(task.kind, task.point, task.attempts)
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except Exception as exc:
@@ -795,7 +678,7 @@ class SweepEngine:
                     self._record_failure(task, exc, journal)
                     break
                 else:
-                    self._record_success(task, result, counters, journal)
+                    self._record_success(task, result, counts, journal)
                     break
 
     # -- supervised pool execution ---------------------------------------- #
@@ -823,7 +706,9 @@ class SweepEngine:
                     task = pending.popleft()
                     task.started = time.monotonic()
                     try:
-                        future = pool.submit(task.worker, task.point, task.attempts)
+                        future = pool.submit(
+                            _run_point, task.kind, task.point, task.attempts
+                        )
                     except BrokenExecutor:
                         pending.appendleft(task)
                         pool = self._recover_pool(pool, inflight, pending)
@@ -856,7 +741,7 @@ class SweepEngine:
                 for future in done:
                     task, _ = inflight.pop(future)
                     try:
-                        _, result, counters = future.result()
+                        result, counts = future.result()
                     except BrokenExecutor:
                         # The pool died under this task; which process
                         # crashed is unknowable, so the task is requeued
@@ -869,7 +754,7 @@ class SweepEngine:
                     except Exception as exc:
                         self._attempt_failed(task, exc, retry_heap, journal)
                     else:
-                        self._record_success(task, result, counters, journal)
+                        self._record_success(task, result, counts, journal)
 
                 if pool_broke:
                     pool = self._recover_pool(pool, inflight, pending)
@@ -1014,16 +899,10 @@ class SweepEngine:
         else:
             self._record_failure(task, exc, journal)
 
-    def _record_success(self, task: _Task, result, counters, journal) -> None:
-        if task.kind == "precise":
-            _backfill_precise(task.point, result)
-        elif task.kind == "technique":
-            _backfill_technique(task.point, result)
-        elif task.kind == "fullsystem":
-            _backfill_fullsystem(task.point, result)
-        # "capture": the trace store entry *is* the artifact; nothing to
-        # backfill in the parent beyond the counters.
-        self._absorb_counters(_ZERO_COUNTERS, counters)
+    def _record_success(self, task: _Task, result, counts: Counter, journal) -> None:
+        if common.KINDS[task.kind].placeholder is not None:
+            common.remember(task.identity, result)
+        self._absorb_counts(counts)
         journal.record_done(task.kind, task.key)
         if telemetry.enabled():
             wall = time.monotonic() - task.started if task.started else 0.0
@@ -1058,18 +937,13 @@ class SweepEngine:
                 attempts=failure.attempts,
             )
         self.report.failures.append(failure)
-        message = f"{failure.error_type}: {failure.message}"
-        if task.kind == "precise":
-            _backfill_precise(task.point, common.failed_precise_reference(message))
-            self._failed_baseline_keys.add(task.key)
-        elif task.kind == "capture":
-            # Dependents are pre-failed by _fail_orphaned; their FAILED
-            # placeholders carry the render-path NaNs.
-            self._failed_baseline_keys.add(task.key)
-        elif task.kind == "fullsystem":
-            _backfill_fullsystem(task.point, common.failed_fullsystem_result(message))
-        else:
-            _backfill_technique(task.point, common.failed_technique_result(message))
+        placeholder = common.KINDS[task.kind].placeholder
+        if placeholder is not None:
+            common.remember(
+                task.identity, placeholder(f"{failure.error_type}: {failure.message}")
+            )
+        # Dependents of a failed point are pre-failed by _fail_orphaned.
+        self._failed_keys.add(task.key)
         journal.record_failed(
             task.kind, task.key, failure.error_type, failure.message, failure.attempts
         )
@@ -1128,51 +1002,15 @@ class SweepEngine:
 
     # -- counters ---------------------------------------------------------- #
 
-    def _absorb_counters(self, before: Dict[str, int], after: Dict[str, int]) -> None:
+    def _absorb_counts(self, counts: Counter) -> None:
         report = self.report
-        report.precise_computed += after["precise_computed"] - before["precise_computed"]
-        report.technique_computed += (
-            after["technique_computed"] - before["technique_computed"]
-        )
-        report.fullsystem_computed += (
-            after["fullsystem_computed"] - before["fullsystem_computed"]
-        )
-        report.traces_captured += after["traces_captured"] - before["traces_captured"]
-        report.trace_store_hits += (
-            after["trace_store_hits"] - before["trace_store_hits"]
-        )
+        report.precise_computed += counts["precise", "computed"]
+        report.technique_computed += counts["technique", "computed"]
+        report.fullsystem_computed += counts["fullsystem", "computed"]
+        report.traces_captured += counts["capture", "computed"]
+        report.trace_store_hits += counts["capture", "disk"]
         report.disk_hits += (
-            after["precise_disk_hits"]
-            - before["precise_disk_hits"]
-            + after["technique_disk_hits"]
-            - before["technique_disk_hits"]
-            + after["fullsystem_disk_hits"]
-            - before["fullsystem_disk_hits"]
+            counts["precise", "disk"]
+            + counts["technique", "disk"]
+            + counts["fullsystem", "disk"]
         )
-
-
-_ZERO_COUNTERS: Dict[str, int] = common.ComputeCounters().as_dict()
-
-
-def execute_points(points: Iterable[SweepPoint], jobs: int = 1, **kwargs) -> SweepReport:
-    """Convenience wrapper: one engine, one execution."""
-    engine = SweepEngine(jobs=jobs, **kwargs)
-    return engine.execute(points)
-
-
-def execute_point(point: SweepPoint):
-    """Compute one point in-process, warming the result caches.
-
-    The :meth:`repro.experiments.common.ExperimentDriver.run_point`
-    implementation: same compute (and cache/telemetry) path as a sweep
-    worker, minus the supervision envelope. Returns the
-    :class:`~repro.experiments.common.PreciseReference` or
-    :class:`~repro.experiments.common.TechniqueResult`.
-    """
-    if point.is_fullsystem:
-        _, result, _ = _run_fullsystem_worker(point)
-    elif point.is_technique:
-        _, result, _ = _run_technique_worker(point)
-    else:
-        _, result, _ = _run_precise_worker(point)
-    return result

@@ -25,14 +25,13 @@ from __future__ import annotations
 import enum
 from typing import Optional, Union
 
-from repro.core.approximator import DelayQueue, LoadValueApproximator
+from repro.core.approximator import DelayQueue
 from repro.core.config import ApproximatorConfig
 from repro.faults.memory import build_memory_model
 from repro.errors import ConfigurationError
 from repro.mem.cache import CacheConfig, SetAssociativeCache
 from repro.predictors import registry as predictor_registry
 from repro.predictors.base import MissPredictor
-from repro.predictors.lvp import IdealizedLoadValuePredictor
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.ghb import GHBPrefetcher
 from repro.sim.frontend import MemoryFrontend
@@ -73,16 +72,12 @@ class TraceSimulator(MemoryFrontend):
         self.mode = mode
         self.stats = SimulationStats()
         self.l1 = SetAssociativeCache(l1_config, name="L1D")
-        self.approximator: Optional[LoadValueApproximator] = None
-        self.predictor: Optional[IdealizedLoadValuePredictor] = None
-        #: Any other registry predictor (scalar MissPredictor contract).
-        self.generic_predictor: Optional[object] = None
-        #: Registry name of the technique driven on misses (None = none).
+        #: The one technique driven on approximable misses, through the
+        #: scalar MissPredictor contract (None without a technique mode).
+        self.technique: Optional[MissPredictor] = None
+        #: Registry name of :attr:`technique` (None = none).
         self.predictor_name: Optional[str] = None
         self.prefetcher: Optional[Prefetcher] = None
-        #: The one technique driven on approximable misses (the object
-        #: behind whichever of the three attributes above is set).
-        self._technique: Optional[MissPredictor] = None
         # Value-delayed trainings, clocked once per load. Never pushed to
         # without a technique, so its next_due stays out of reach.
         self._delay = DelayQueue(0)
@@ -106,15 +101,8 @@ class TraceSimulator(MemoryFrontend):
             # override, then config.predictor. Every technique is driven
             # through the one scalar MissPredictor contract.
             name = predictor_registry.resolve_name(mode.value, config)
-            technique = predictor_registry.create(name, config)
+            self.technique = predictor_registry.create(name, config)
             self.predictor_name = name
-            if isinstance(technique, LoadValueApproximator):
-                self.approximator = technique
-            elif isinstance(technique, IdealizedLoadValuePredictor):
-                self.predictor = technique
-            else:
-                self.generic_predictor = technique
-            self._technique = technique
             self._delay = DelayQueue(config.value_delay)
             self._serve_miss = cls._serve_technique_miss
         elif mode is Mode.PREFETCH:
@@ -150,7 +138,7 @@ class TraceSimulator(MemoryFrontend):
             # Rollback techniques resolve coverage when the value lands
             # (train returns True); LVA counted it at decision time.
             token, landed = delay.pop()
-            if self._technique.train(token, landed):
+            if self.technique.train(token, landed):
                 stats.covered_misses += 1
 
         if self.l1.probe(addr):
@@ -219,7 +207,7 @@ class TraceSimulator(MemoryFrontend):
                 stats.fetches += 1
                 self.l1.fill(addr)
             return actual
-        decision = self._technique.on_miss(pc, is_float, addr)
+        decision = self.technique.on_miss(pc, is_float, addr)
         value = decision.value
         if self._tel is not None:
             self._tel.on_decision(pc, addr, value is not None, decision.fetch)
@@ -316,7 +304,7 @@ class TraceSimulator(MemoryFrontend):
         confidence are fully accounted.
         """
         for token, actual in self._delay.drain():
-            if self._technique.train(token, actual):
+            if self.technique.train(token, actual):
                 self.stats.covered_misses += 1
         self.stats.instructions = self.instructions
         if self._tel is not None:

@@ -197,23 +197,34 @@ class TestStats:
         assert approx.stats.lookups == len(values)
 
 
+def advance(queue: DelayQueue) -> list:
+    """One load instruction, driven as ``TraceSimulator._serve_load``
+    drives the queue: bump the clock, pop while something is due."""
+    queue.clock += 1
+    due = []
+    while queue.clock >= queue.next_due:
+        due.append(queue.pop())
+    return due
+
+
 class TestDelayQueue:
     def test_items_due_after_delay_ticks(self):
         queue = DelayQueue(2)
         queue.push("token", 1.0)
-        assert list(queue.tick()) == []  # shared empty tuple: no allocation
-        assert list(queue.tick()) == [("token", 1.0)]
+        assert advance(queue) == []
+        assert queue.clock < queue.next_due  # nothing due: one comparison, no pop
+        assert advance(queue) == [("token", 1.0)]
 
     def test_zero_delay_due_next_tick(self):
         queue = DelayQueue(0)
         queue.push("t", 5)
-        assert queue.tick() == [("t", 5)]
+        assert advance(queue) == [("t", 5)]
 
     def test_fifo_order_preserved(self):
         queue = DelayQueue(1)
         queue.push("a", 1)
         queue.push("b", 2)
-        assert [t for t, _ in queue.tick()] == ["a", "b"]
+        assert [t for t, _ in advance(queue)] == ["a", "b"]
 
     def test_drain_returns_everything(self):
         queue = DelayQueue(10)
@@ -229,5 +240,5 @@ class TestDelayQueue:
             queue.push(i, i)
         received = []
         for _ in range(delay + items + 1):
-            received.extend(queue.tick())
+            received.extend(advance(queue))
         assert len(received) == items

@@ -35,18 +35,11 @@ def disk(monkeypatch, tmp_path):
     monkeypatch.setattr(diskcache, "_DISABLED_OVERRIDE", False)
     monkeypatch.setattr(diskcache, "_ACTIVE", None)
     monkeypatch.setattr(diskcache, "_ACTIVE_DIR", None)
-    monkeypatch.setattr(common, "COMPUTE_COUNTERS", common.ComputeCounters())
-    saved_precise = dict(common._PRECISE_CACHE)
-    saved_technique = dict(common._TECHNIQUE_CACHE)
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
+    common.clear_memory_caches()
     cache = diskcache.active_cache()
     assert cache is not None
     yield cache
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    common._PRECISE_CACHE.update(saved_precise)
-    common._TECHNIQUE_CACHE.update(saved_technique)
+    common.clear_memory_caches()
 
 
 def _fig4_key() -> str:
@@ -185,11 +178,11 @@ class TestDiskCache:
     def test_reset_caches_clears_disk_layer(self, disk):
         run_precise_reference("blackscholes", small=True)
         assert len(disk) == 1
-        assert common._PRECISE_CACHE
+        assert common._MEMO
         common.reset_caches()
         assert len(disk) == 0
-        assert not common._PRECISE_CACHE
-        assert common.COMPUTE_COUNTERS.precise_computed == 0
+        assert not common._MEMO
+        assert common.COMPUTE_COUNTS["precise", "computed"] == 0
 
 
 class TestResultCaching:
@@ -201,24 +194,24 @@ class TestResultCaching:
         """
         config = ApproximatorConfig(ghb_size=2)
         fresh = run_technique("blackscholes", Mode.LVA, config=config, small=True)
-        assert common.COMPUTE_COUNTERS.technique_computed == 1
+        assert common.COMPUTE_COUNTS["technique", "computed"] == 1
 
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
+        common.clear_memory_caches()
         cached = run_technique("blackscholes", Mode.LVA, config=config, small=True)
 
-        assert common.COMPUTE_COUNTERS.technique_computed == 1  # not recomputed
-        assert common.COMPUTE_COUNTERS.technique_disk_hits == 1
+        assert common.COMPUTE_COUNTS["technique", "computed"] == 0  # not recomputed
+        assert common.COMPUTE_COUNTS["technique", "disk"] == 1
         assert isinstance(cached, TechniqueResult)
         assert cached is not fresh
         assert dataclasses.asdict(cached) == dataclasses.asdict(fresh)
 
     def test_precise_reference_served_from_disk(self, disk):
         first = run_precise_reference("blackscholes", small=True)
-        common._PRECISE_CACHE.clear()
+        assert common.COMPUTE_COUNTS["precise", "computed"] == 1
+        common.clear_memory_caches()
         second = run_precise_reference("blackscholes", small=True)
-        assert common.COMPUTE_COUNTERS.precise_computed == 1
-        assert common.COMPUTE_COUNTERS.precise_disk_hits == 1
+        assert common.COMPUTE_COUNTS["precise", "computed"] == 0  # not recomputed
+        assert common.COMPUTE_COUNTS["precise", "disk"] == 1
         assert second.mpki == first.mpki
         assert second.instructions == first.instructions
         assert second.output == first.output
@@ -230,4 +223,4 @@ class TestResultCaching:
         disk.put(key, {"not": "a TechniqueResult"})
         result = run_technique("blackscholes", Mode.LVA, config=config, small=True)
         assert isinstance(result, TechniqueResult)
-        assert common.COMPUTE_COUNTERS.technique_computed == 1
+        assert common.COMPUTE_COUNTS["technique", "computed"] == 1

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core.config import ApproximatorConfig
-from repro.experiments import common, diskcache, sweep, tracestore
+from repro.experiments import common, diskcache
 from repro.experiments.sweep import SweepEngine, fullsystem_point
 from repro.fullsystem import FullSystemResult
 
@@ -21,11 +21,9 @@ def cache_dir(tmp_path, monkeypatch):
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    common._TRACE_CACHE.clear()
-    common._FULLSYSTEM_CACHE.clear()
+    common.clear_memory_caches()
     yield
-    common._TRACE_CACHE.clear()
-    common._FULLSYSTEM_CACHE.clear()
+    common.clear_memory_caches()
 
 
 class TestRunFullSystemPoint:
@@ -36,11 +34,10 @@ class TestRunFullSystemPoint:
 
     def test_disk_cache_round_trip(self, cache_dir):
         first = common.run_fullsystem_point("swaptions", small=True)
-        common._FULLSYSTEM_CACHE.clear()
-        common._TRACE_CACHE.clear()
-        before = common.COMPUTE_COUNTERS.fullsystem_disk_hits
+        common.clear_memory_caches()
+        before = common.COMPUTE_COUNTS["fullsystem", "disk"]
         second = common.run_fullsystem_point("swaptions", small=True)
-        assert common.COMPUTE_COUNTERS.fullsystem_disk_hits == before + 1
+        assert common.COMPUTE_COUNTS["fullsystem", "disk"] == before + 1
         assert second.cycles == first.cycles
         assert second.energy == first.energy
 
@@ -65,7 +62,7 @@ class TestRunFullSystemPoint:
 class TestFullSystemPoints:
     def test_point_shape(self):
         p = fullsystem_point("canneal", small=True)
-        assert p.is_fullsystem and not p.is_technique
+        assert p.kind == "fullsystem" and p.mode is None
         assert p.approximate is False
         assert "fullsystem-baseline" in p.describe()
         lva = fullsystem_point(
@@ -74,10 +71,18 @@ class TestFullSystemPoints:
         assert lva.approximate is True
         assert "fullsystem-lva" in lva.describe()
 
-    def test_execute_point_dispatches_fullsystem(self):
-        result = sweep.execute_point(fullsystem_point("swaptions", small=True))
+    def test_run_fullsystem_point_replays(self):
+        point = fullsystem_point("swaptions", small=True)
+        result = common.run_fullsystem_point(
+            point.workload,
+            approximate=point.approximate,
+            approximator=point.config,
+            seed=point.seed,
+            small=point.small,
+        )
         assert isinstance(result, FullSystemResult)
         assert result.failure is None
+        assert common.COMPUTE_COUNTS["fullsystem", "computed"] == 1
 
 
 class TestEngineIntegration:
@@ -108,8 +113,7 @@ class TestEngineIntegration:
 
         # New process simulation: drop every in-process layer and the
         # replay *result* cache, but keep the trace store.
-        common._TRACE_CACHE.clear()
-        common._FULLSYSTEM_CACHE.clear()
+        common.clear_memory_caches()
         disk = diskcache.active_cache()
         assert disk is not None
         disk.clear()
@@ -124,8 +128,7 @@ class TestEngineIntegration:
         SweepEngine(jobs=1).execute(self.points())
         cold = common.run_fullsystem_point("swaptions", small=True)
 
-        common._TRACE_CACHE.clear()
-        common._FULLSYSTEM_CACHE.clear()
+        common.clear_memory_caches()
         diskcache.active_cache().clear()
 
         SweepEngine(jobs=1).execute(self.points())
@@ -148,7 +151,7 @@ class TestEngineIntegration:
         pts = fig10.DRIVER.points(small=True)
         workloads = {p.workload for p in pts}
         assert workloads == set(common.BASELINE_WORKLOADS)
-        assert all(p.is_fullsystem for p in pts)
+        assert all(p.kind == "fullsystem" for p in pts)
         per_workload = len(fig10.DEGREES) + 1  # degrees + precise baseline
         assert len(pts) == per_workload * len(common.BASELINE_WORKLOADS)
 

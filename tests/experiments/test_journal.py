@@ -21,17 +21,10 @@ def clean_caches(monkeypatch, tmp_path):
     monkeypatch.setattr(diskcache, "_DISABLED_OVERRIDE", False)
     monkeypatch.setattr(diskcache, "_ACTIVE", None)
     monkeypatch.setattr(diskcache, "_ACTIVE_DIR", None)
-    monkeypatch.setattr(common, "COMPUTE_COUNTERS", common.ComputeCounters())
-    saved_precise = dict(common._PRECISE_CACHE)
-    saved_technique = dict(common._TECHNIQUE_CACHE)
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
+    common.clear_memory_caches()
     yield
     faults.deactivate()
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    common._PRECISE_CACHE.update(saved_precise)
-    common._TECHNIQUE_CACHE.update(saved_technique)
+    common.clear_memory_caches()
 
 
 class TestRunId:
@@ -175,9 +168,7 @@ class TestEngineResume:
 
         # A fresh process would start with cold in-memory caches (but the
         # disk cache and journal survive).
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
-        common._TRACE_CACHE.clear()
+        common.clear_memory_caches()
 
         second = SweepEngine(jobs=1, resume=True).execute(fig13.DRIVER.points(small=True))
         assert not second.failures
@@ -193,9 +184,7 @@ class TestEngineResume:
         faults.activate("raise:mantissa_drop_bits=11")
         SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
         faults.deactivate()
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
-        common._TRACE_CACHE.clear()
+        common.clear_memory_caches()
         SweepEngine(jobs=1, resume=True).execute(fig13.DRIVER.points(small=True))
         resumed = fig13.DRIVER.render(small=True)
 
@@ -204,9 +193,7 @@ class TestEngineResume:
 
         os.environ[diskcache.CACHE_DIR_ENV] = os.environ[diskcache.CACHE_DIR_ENV] + "2"
         diskcache._ACTIVE = None
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
-        common._TRACE_CACHE.clear()
+        common.clear_memory_caches()
         SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
         pristine = fig13.DRIVER.render(small=True)
 
@@ -222,9 +209,7 @@ class TestEngineResume:
         lines = blob.splitlines(keepends=True)
         journals[0].write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
 
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
-        common._TRACE_CACHE.clear()
+        common.clear_memory_caches()
         second = SweepEngine(jobs=1, resume=True).execute(fig13.DRIVER.points(small=True))
         assert not second.failures
         assert second.resumed_points == 5  # all but the torn record
@@ -253,15 +238,9 @@ class TestEngineResume:
         into the user's home directory."""
         monkeypatch.setenv(diskcache.NO_CACHE_ENV, "1")
         monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "nope"))
-        saved_precise = dict(common._PRECISE_CACHE)
-        saved_technique = dict(common._TECHNIQUE_CACHE)
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
+        common.clear_memory_caches()
         try:
             SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
             assert not (tmp_path / "nope").exists()
         finally:
-            common._PRECISE_CACHE.clear()
-            common._TECHNIQUE_CACHE.clear()
-            common._PRECISE_CACHE.update(saved_precise)
-            common._TECHNIQUE_CACHE.update(saved_technique)
+            common.clear_memory_caches()

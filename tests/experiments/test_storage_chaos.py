@@ -45,18 +45,9 @@ def clean_caches(monkeypatch, tmp_path):
     monkeypatch.setattr(diskcache, "_DISABLED_OVERRIDE", False)
     monkeypatch.setattr(diskcache, "_ACTIVE", None)
     monkeypatch.setattr(diskcache, "_ACTIVE_DIR", None)
-    monkeypatch.setattr(common, "COMPUTE_COUNTERS", common.ComputeCounters())
-    saved_precise = dict(common._PRECISE_CACHE)
-    saved_technique = dict(common._TECHNIQUE_CACHE)
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    common._TRACE_CACHE.clear()
+    common.clear_memory_caches()
     yield
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    common._TRACE_CACHE.clear()
-    common._PRECISE_CACHE.update(saved_precise)
-    common._TECHNIQUE_CACHE.update(saved_technique)
+    common.clear_memory_caches()
 
 
 def _inject(monkeypatch, spec: str) -> None:
@@ -276,9 +267,7 @@ class TestSweepUnderStorageChaos:
 
         os.environ[diskcache.CACHE_DIR_ENV] += "-pristine"
         diskcache._ACTIVE = None
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
-        common._TRACE_CACHE.clear()
+        common.clear_memory_caches()
         SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
         pristine = fig13.DRIVER.render(small=True)
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
+from repro import faults
 from repro.core.config import ApproximatorConfig
-from repro.experiments import common, diskcache, fig4, fig12, fig13, runner
+from repro.experiments import common, diskcache, fig4, fig10, fig12, fig13, runner
 from repro.experiments.sweep import (
     SweepEngine,
     SweepPoint,
@@ -25,16 +27,9 @@ def clean_caches(monkeypatch, tmp_path):
     monkeypatch.setattr(diskcache, "_DISABLED_OVERRIDE", False)
     monkeypatch.setattr(diskcache, "_ACTIVE", None)
     monkeypatch.setattr(diskcache, "_ACTIVE_DIR", None)
-    monkeypatch.setattr(common, "COMPUTE_COUNTERS", common.ComputeCounters())
-    saved_precise = dict(common._PRECISE_CACHE)
-    saved_technique = dict(common._TECHNIQUE_CACHE)
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
+    common.clear_memory_caches()
     yield
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    common._PRECISE_CACHE.update(saved_precise)
-    common._TECHNIQUE_CACHE.update(saved_technique)
+    common.clear_memory_caches()
 
 
 class TestSweepPoint:
@@ -42,7 +37,7 @@ class TestSweepPoint:
         point = technique_point(
             "canneal", Mode.LVA, ApproximatorConfig(ghb_size=2), small=True
         )
-        assert point.is_technique
+        assert point.kind == "technique"
         assert point.params == ()
         assert point.baseline() == precise_point("canneal", small=True)
 
@@ -96,8 +91,6 @@ class TestSerialEngine:
         """A table built after a sweep is bitwise-identical to one built
         by the driver alone on cold caches."""
         expected = fig13.DRIVER.render(small=True)
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
         common.reset_caches()
 
         report = SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
@@ -124,11 +117,11 @@ class TestSerialEngine:
 
     def test_driver_rerun_is_pure_cache_hits(self, clean_caches):
         SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
-        before = common.COMPUTE_COUNTERS.as_dict()
+        before = common.COMPUTE_COUNTS.copy()
         fig13.DRIVER.render(small=True)
-        after = common.COMPUTE_COUNTERS.as_dict()
-        assert after["precise_computed"] == before["precise_computed"]
-        assert after["technique_computed"] == before["technique_computed"]
+        after = common.COMPUTE_COUNTS.copy()
+        assert after["precise", "computed"] == before["precise", "computed"]
+        assert after["technique", "computed"] == before["technique", "computed"]
 
 
 class TestParallelEngine:
@@ -147,18 +140,42 @@ class TestParallelEngine:
         assert report.technique_computed == len(unique)
 
     def test_backfill_makes_driver_rerun_free(self, clean_caches):
-        SweepEngine(jobs=2).execute(fig13.DRIVER.points(small=True))
-        before = common.COMPUTE_COUNTERS.as_dict()
-        result = fig13.DRIVER.render(small=True)
-        after = common.COMPUTE_COUNTERS.as_dict()
-        assert after["precise_computed"] == before["precise_computed"]
-        assert after["technique_computed"] == before["technique_computed"]
-        assert result.series  # the table really was assembled
+        """After a pooled sweep the driver computes nothing of any kind:
+        phase-1 and phase-2 results, a failed point's placeholder and the
+        placeholders of the replays whose capture failed are all
+        backfilled where the entry points look them up."""
+        scenarios = [
+            (fig13.DRIVER, "", 0),
+            (fig10.DRIVER, "", 0),
+            (fig13.DRIVER, "raise:mantissa_drop_bits=11", 1),
+            # One failed capture pre-fails the six replays depending on it.
+            (fig10.DRIVER, "raise:kind=capture,workload=swaptions", 7),
+        ]
+        for driver, inject, failures in scenarios:
+            common.reset_caches()
+            if inject:
+                faults.activate(inject)
+            try:
+                report = SweepEngine(jobs=2).execute(driver.points(small=True))
+            finally:
+                faults.deactivate()
+            assert len(report.failures) == failures, (driver.name, inject)
+            before = common.COMPUTE_COUNTS.copy()
+            result = driver.render(small=True)
+            after = common.COMPUTE_COUNTS.copy()
+            assert after["precise", "computed"] == before["precise", "computed"]
+            assert after["technique", "computed"] == before["technique", "computed"]
+            for kind in common.KINDS:
+                for source in ("computed", "disk"):
+                    assert after[kind, source] == before[kind, source], (
+                        driver.name, inject, kind, source,
+                    )
+            assert result.series  # the table really was assembled
+            cells = [v for series in result.series.values() for v in series.values()]
+            assert any(math.isnan(v) for v in cells) == bool(failures)
 
     def test_parallel_equivalent_to_serial(self, clean_caches):
         serial = fig13.DRIVER.render(small=True)
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
         common.reset_caches()
         SweepEngine(jobs=2).execute(fig13.DRIVER.points(small=True))
         parallel = fig13.DRIVER.render(small=True)
@@ -188,4 +205,4 @@ class TestRunnerIntegration:
         for name in ("fig10", "fig11"):
             assert name in runner.POINTS
             pts = runner.POINTS[name](small=True, seed=0)
-            assert pts and all(p.is_fullsystem for p in pts), name
+            assert pts and all(p.kind == "fullsystem" for p in pts), name

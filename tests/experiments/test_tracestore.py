@@ -210,7 +210,7 @@ print(len(packed), total, sum(1 for v in packed.value_list() if isinstance(v, in
 
 class TestCaptureIntegration:
     def test_capture_trace_publishes_and_rehydrates(self, cache_dir):
-        common._TRACE_CACHE.clear()
+        common.clear_memory_caches()
         store = tracestore.active_store()
         assert store is not None and len(store) == 0
 
@@ -218,28 +218,26 @@ class TestCaptureIntegration:
         assert len(store) == 1
 
         # Cold in-process cache: the second call must come from the store.
-        common._TRACE_CACHE.clear()
+        common.clear_memory_caches()
         before = store.stats.hits
         second = common.capture_trace("swaptions", small=True)
         assert store.stats.hits == before + 1
         assert second.to_trace().events == first.to_trace().events
 
-    def test_trace_lru_is_bounded(self, monkeypatch):
-        monkeypatch.setenv(common.TRACE_LRU_ENV, "2")
+    def test_trace_lru_is_bounded(self):
+        capacity = common.TRACE_LRU_CAPACITY
         lru = common._PackedTraceLRU()
-        traces = [sample_trace(i + 1).pack() for i in range(4)]
-        for i, packed in enumerate(traces):
-            lru.put(("w", i, False), packed)
-        assert len(lru) == 2
-        assert ("w", 3, False) in lru and ("w", 2, False) in lru
-        assert ("w", 0, False) not in lru
+        for i in range(capacity + 2):
+            lru[("w", i, False)] = sample_trace(i + 1).pack()
+        assert len(lru) == capacity
+        assert all(("w", i, False) in lru for i in range(2, capacity + 2))
+        assert ("w", 0, False) not in lru and ("w", 1, False) not in lru
 
-    def test_trace_lru_get_refreshes_recency(self, monkeypatch):
-        monkeypatch.setenv(common.TRACE_LRU_ENV, "2")
+    def test_trace_lru_get_refreshes_recency(self):
         lru = common._PackedTraceLRU()
-        lru.put(("a", 0, False), sample_trace(1).pack())
-        lru.put(("b", 0, False), sample_trace(2).pack())
-        assert lru.get(("a", 0, False)) is not None  # refresh "a"
-        lru.put(("c", 0, False), sample_trace(3).pack())
-        assert ("a", 0, False) in lru
-        assert ("b", 0, False) not in lru
+        for i in range(common.TRACE_LRU_CAPACITY):
+            lru[("w", i, False)] = sample_trace(i + 1).pack()
+        assert lru.get(("w", 0, False)) is not None  # refresh the oldest
+        lru[("new", 0, False)] = sample_trace(1).pack()
+        assert ("w", 0, False) in lru
+        assert ("w", 1, False) not in lru

@@ -24,27 +24,14 @@ def clean_caches(monkeypatch, tmp_path):
     monkeypatch.setattr(diskcache, "_DISABLED_OVERRIDE", False)
     monkeypatch.setattr(diskcache, "_ACTIVE", None)
     monkeypatch.setattr(diskcache, "_ACTIVE_DIR", None)
-    monkeypatch.setattr(common, "COMPUTE_COUNTERS", common.ComputeCounters())
-    saved_precise = dict(common._PRECISE_CACHE)
-    saved_technique = dict(common._TECHNIQUE_CACHE)
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
+    common.clear_memory_caches()
     yield
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    common._PRECISE_CACHE.update(saved_precise)
-    common._TECHNIQUE_CACHE.update(saved_technique)
+    common.clear_memory_caches()
 
 
 @pytest.fixture
 def fresh_memory_caches():
     """Empty in-memory caches only (disk stays disabled by the root conftest)."""
-    saved_precise = dict(common._PRECISE_CACHE)
-    saved_technique = dict(common._TECHNIQUE_CACHE)
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
+    common.clear_memory_caches()
     yield
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    common._PRECISE_CACHE.update(saved_precise)
-    common._TECHNIQUE_CACHE.update(saved_technique)
+    common.clear_memory_caches()

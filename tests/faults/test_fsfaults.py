@@ -7,7 +7,7 @@ import errno
 import pytest
 
 from repro import faults
-from repro.experiments.common import technique_disk_key
+from repro.experiments import common
 from repro.faults import fsfaults
 from repro.faults.memory import INJECT_ENV, active_memory_spec
 from repro.faults.spec import STORAGE_KINDS, parse_spec, storage_clauses
@@ -63,9 +63,11 @@ class TestFoldIntoNothing:
 
     def test_technique_disk_key_unchanged_by_storage_faults(self, monkeypatch):
         def key():
-            return technique_disk_key(
-                "fluidanimate", Mode.LVA, None, 0, 0, True, (),
-                fault_spec=active_memory_spec(),
+            return common.disk_key(
+                common.identity(
+                    "technique", "fluidanimate", 0, True, mode=Mode.LVA,
+                    prefetch_degree=0, fault_spec=active_memory_spec(),
+                )
             )
 
         monkeypatch.delenv(INJECT_ENV, raising=False)

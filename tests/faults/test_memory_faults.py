@@ -126,7 +126,7 @@ class TestResultIsolation:
         clean = common.run_technique("blackscholes", Mode.LVA, small=True)
         with faults.memory_faults("flip:prob=0.2"):
             faulty = common.run_technique("blackscholes", Mode.LVA, small=True)
-        assert len(common._TECHNIQUE_CACHE) == 2
+        assert common.COMPUTE_COUNTS["technique", "computed"] == 2
         assert faulty.raw["value_bit_flips"] > 0
         assert clean.raw["value_bit_flips"] == 0
         # Flipped memory values must actually change the measurement.
@@ -135,17 +135,20 @@ class TestResultIsolation:
         )
 
     def test_disk_key_embeds_fault_spec(self):
-        clean_key = common.technique_disk_key(
-            "blackscholes", Mode.LVA, None, 4, 0, True, (), ""
+        clean_key = common.disk_key(
+            common.identity("technique", "blackscholes", 0, True, mode=Mode.LVA)
         )
-        faulty_key = common.technique_disk_key(
-            "blackscholes", Mode.LVA, None, 4, 0, True, (), "flip:prob=0.2"
+        faulty_key = common.disk_key(
+            common.identity(
+                "technique", "blackscholes", 0, True, mode=Mode.LVA,
+                fault_spec="flip:prob=0.2",
+            )
         )
         assert clean_key != faulty_key
 
     def test_precise_reference_is_immune(self, fresh_memory_caches):
         clean = common.run_precise_reference("blackscholes", small=True)
-        common._PRECISE_CACHE.clear()
+        common.clear_memory_caches()
         with faults.memory_faults("flip:prob=1.0;drop:prob=0.5"):
             under_faults = common.run_precise_reference("blackscholes", small=True)
         assert clean.output == under_faults.output

@@ -16,8 +16,9 @@ from repro import predictors
 from repro.api import Simulation
 from repro.core.config import ApproximatorConfig
 from repro.errors import ConfigurationError
-from repro.experiments.common import technique_disk_key
+from repro.experiments import common
 from repro.predictors import MissPredictor
+from repro.predictors.clp import CacheLevelPredictor
 from repro.sim.tracesim import Mode, TraceSimulator
 
 #: Smallest workload in the registry — keeps the parametrized matrix cheap.
@@ -94,28 +95,30 @@ class TestRegistryContract:
     @pytest.mark.parametrize("name", ALL)
     def test_cache_keys_differ_across_predictor_names(self, name):
         keys = {
-            technique_disk_key(
-                WORKLOAD,
-                Mode.PREDICTOR,
-                ApproximatorConfig(predictor=other),
-                4,
-                0,
-                True,
-                (),
+            common.disk_key(
+                common.identity(
+                    "technique",
+                    WORKLOAD,
+                    0,
+                    True,
+                    mode=Mode.PREDICTOR,
+                    config=ApproximatorConfig(predictor=other),
+                )
             )
             for other in ALL
         }
         assert len(keys) == len(ALL)
         # ... and the override key component splits again from all of them.
-        overridden = technique_disk_key(
-            WORKLOAD,
-            Mode.PREDICTOR,
-            ApproximatorConfig(predictor=name),
-            4,
-            0,
-            True,
-            (),
-            predictor_override="clp",
+        overridden = common.disk_key(
+            common.identity(
+                "technique",
+                WORKLOAD,
+                0,
+                True,
+                mode=Mode.PREDICTOR,
+                config=ApproximatorConfig(predictor=name),
+                predictor_override="clp",
+            )
         )
         assert overridden not in keys
 
@@ -132,8 +135,7 @@ class TestModeResolution:
             approximator_config=ApproximatorConfig(predictor="clp"),
         )
         assert sim.predictor_name == "clp"
-        assert sim.generic_predictor is not None
-        assert sim.approximator is None and sim.predictor is None
+        assert isinstance(sim.technique, CacheLevelPredictor)
 
     def test_env_override_retargets_predictor_mode_only(self, monkeypatch):
         monkeypatch.setenv("REPRO_PREDICTOR", "hybrid")

@@ -18,7 +18,9 @@ from __future__ import annotations
 import pytest
 
 from repro import ApproximatorConfig, Mode, TraceSimulator
+from repro.core.approximator import LoadValueApproximator
 from repro.experiments.common import BASELINE_WORKLOADS
+from repro.predictors.lvp import IdealizedLoadValuePredictor
 from repro.prefetch.nextline import NextLinePrefetcher
 from repro.sim.trace import Trace
 from tests.sim.test_replay_pin import (
@@ -53,25 +55,22 @@ def assert_same_state(a_sim, b_sim):
     """Equality beyond SimulationStats: cache + technique counters."""
     assert a_sim.l1.stats == b_sim.l1.stats
     assert a_sim.instructions == b_sim.instructions
-    for attr in ("approximator", "predictor"):
-        a_tech, b_tech = getattr(a_sim, attr), getattr(b_sim, attr)
-        assert (a_tech is None) == (b_tech is None)
-        if a_tech is not None:
-            _assert_same_lva_tables(a_tech, b_tech)
-    g_a, g_b = a_sim.generic_predictor, b_sim.generic_predictor
-    assert (g_a is None) == (g_b is None)
-    if g_a is not None:
-        assert g_a.stats == g_b.stats
-        assert g_a.allocated_entries == g_b.allocated_entries
-        if hasattr(g_a, "_l2"):  # clp: modelled-L2 contents in LRU order
-            assert list(g_a._l2) == list(g_b._l2)
-            assert {i: (e.tag, list(e.levels)) for i, e in g_a._table.items()} == {
-                i: (e.tag, list(e.levels)) for i, e in g_b._table.items()
+    a_tech, b_tech = a_sim.technique, b_sim.technique
+    assert type(a_tech) is type(b_tech)
+    if isinstance(a_tech, (LoadValueApproximator, IdealizedLoadValuePredictor)):
+        _assert_same_lva_tables(a_tech, b_tech)
+    elif a_tech is not None:
+        assert a_tech.stats == b_tech.stats
+        assert a_tech.allocated_entries == b_tech.allocated_entries
+        if hasattr(a_tech, "_l2"):  # clp: modelled-L2 contents in LRU order
+            assert list(a_tech._l2) == list(b_tech._l2)
+            assert {i: (e.tag, list(e.levels)) for i, e in a_tech._table.items()} == {
+                i: (e.tag, list(e.levels)) for i, e in b_tech._table.items()
             }
-        if hasattr(g_a, "_chooser"):  # hybrid: chooser + both components
-            assert g_a._chooser == g_b._chooser
-            _assert_same_lva_tables(g_a.lva, g_b.lva)
-            assert g_a.lvp.stats == g_b.lvp.stats
+        if hasattr(a_tech, "_chooser"):  # hybrid: chooser + both components
+            assert a_tech._chooser == b_tech._chooser
+            _assert_same_lva_tables(a_tech.lva, b_tech.lva)
+            assert a_tech.lvp.stats == b_tech.lvp.stats
     pf_a, pf_b = a_sim.prefetcher, b_sim.prefetcher
     assert (pf_a is None) == (pf_b is None)
     if pf_a is not None:
@@ -128,7 +127,7 @@ class TestDegreeBitEquality:
             traces["x264"], Mode.LVA, replay_pin["degree"]["x264"]["2"], config
         )
         assert stats.fetches_avoided > 0
-        assert sim.approximator.stats.fetches_skipped == stats.fetches_avoided
+        assert sim.technique.stats.fetches_skipped == stats.fetches_avoided
         assert stats.fetches < stats.raw_misses
 
     @pytest.mark.parametrize(
@@ -176,7 +175,7 @@ class TestPredictorZooBitEquality:
         expected = replay_pin["predictors"]["fluidanimate"]["clp"]
         stats, sim = replay_both(traces["fluidanimate"], Mode.PREDICTOR, expected, config)
         assert stats.covered_misses > 0
-        assert sim.generic_predictor.stats.correct == stats.covered_misses
+        assert sim.technique.stats.correct == stats.covered_misses
 
 
 class TestPrefetchBitEquality:

@@ -142,10 +142,10 @@ class TestValueDelaySemantics:
         fill_values(sim, region, [3.0] * 16)
         sim.load_approx(0x400, region.addr(0))   # miss, trains after 4 loads
         # Immediately after, the approximator is still cold for this PC.
-        assert sim.approximator.stats.trainings == 0
+        assert sim.technique.stats.trainings == 0
         for i in range(1, 5):
             sim.load_approx(0x400, region.addr(i))
-        assert sim.approximator.stats.trainings >= 1
+        assert sim.technique.stats.trainings >= 1
 
     def test_finish_flushes_pending_trainings(self):
         config = ApproximatorConfig(value_delay=100)
@@ -155,7 +155,7 @@ class TestValueDelaySemantics:
         for i in range(4):
             sim.load_approx(0x400, region.addr(i))
         sim.finish()
-        assert sim.approximator.stats.trainings == 4
+        assert sim.technique.stats.trainings == 4
 
 
 class TestLVPMode:

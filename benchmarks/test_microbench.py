@@ -49,7 +49,7 @@ def test_cache_probe_throughput(benchmark):
 
     def probe():
         for addr in addrs:
-            cache.access(addr)
+            cache.probe(addr)
 
     benchmark(probe)
 

@@ -3,8 +3,7 @@
 The workload trace is captured ONCE at module scope (capture is the
 expensive step the trace store exists to amortise); the benchmarks then
 time the packed-path primitives in isolation: pack/unpack conversion,
-trace-store round-trips, and replay throughput through both the phase-1
-and phase-2 simulators.
+trace-store round-trips, and full-system replay throughput.
 """
 
 import numpy as np
@@ -14,7 +13,6 @@ from repro.core.config import ApproximatorConfig
 from repro.experiments import tracestore
 from repro.fullsystem import FullSystemConfig, FullSystemSimulator
 from repro.sim.trace import LoadEvent, Trace
-from repro.sim.tracesim import Mode, TraceSimulator
 
 
 def _synthetic_trace(n: int = 8192) -> Trace:
@@ -86,16 +84,6 @@ def test_store_warm_get(benchmark, tmp_path):
     assert loaded is not None
 
 
-def test_tracesim_packed_replay_throughput(benchmark, captured):
-    packed = captured.pack()
-
-    def replay():
-        return TraceSimulator(Mode.LVA).replay(packed)
-
-    stats = benchmark(replay)
-    assert stats.loads == sum(1 for e in captured.events if not e.is_store)
-
-
 def test_fullsystem_packed_replay_throughput(benchmark, captured):
     packed = captured.pack()
     config = FullSystemConfig(
@@ -107,58 +95,3 @@ def test_fullsystem_packed_replay_throughput(benchmark, captured):
 
     result = benchmark(replay)
     assert result.loads > 0
-
-
-def test_write_bench_replay_json(captured):
-    """Record the replay-throughput curve (events/sec per input form, per
-    workload) to ``BENCH_replay.json`` so future re-anchors can see the
-    perf trajectory.
-
-    ``object`` replays a :class:`Trace` (packed inside ``replay``),
-    ``packed`` and ``default`` replay its :class:`PackedTrace`: the
-    single interpreter is what an unpinned caller gets, timed again so
-    the ``default`` column's history continues.
-
-    Uses ``time.perf_counter`` directly (not the ``benchmark`` fixture)
-    so the file is written even under ``--benchmark-disable``. Output
-    path overridable via ``REPRO_BENCH_OUT``.
-    """
-    import json
-    import os
-    import time
-    from pathlib import Path
-
-    from repro import TraceRecorder, get_workload
-    from repro.envspec import BENCH_OUT_ENV
-    from repro.experiments.common import BASELINE_WORKLOADS
-
-    def events_per_sec(source):
-        # One warm-up, then the timed run.
-        TraceSimulator(Mode.LVA).replay(source)
-        sim = TraceSimulator(Mode.LVA)
-        start = time.perf_counter()
-        sim.replay(source)
-        elapsed = time.perf_counter() - start
-        return round(len(source) / elapsed) if elapsed > 0 else float("inf")
-
-    def curve(trace):
-        packed = trace.pack()
-        return {
-            "object": events_per_sec(trace),
-            "packed": events_per_sec(packed),
-            "default": events_per_sec(packed),
-            "events": len(packed),
-        }
-
-    results = {}
-    for name in BASELINE_WORKLOADS:
-        recorder = TraceRecorder(record_stores=True)
-        sim = TraceSimulator(Mode.PRECISE, recorder=recorder)
-        get_workload(name, small=True).execute(sim, 0)
-        sim.finish()
-        results[name] = curve(recorder.trace)
-    results["canneal-large"] = curve(captured)
-
-    out = Path(os.environ.get(BENCH_OUT_ENV, "BENCH_replay.json"))
-    payload = {"mode": "lva", "unit": "events/sec", "workloads": results}
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -94,7 +94,6 @@ class AnalysisConfig:
         "MemoryFrontend.load",
         "MemoryFrontend.load_approx",
         "MemoryFrontend.store",
-        "SetAssociativeCache.access",
         "SetAssociativeCache.probe",
         "SetAssociativeCache.write_hit",
         "SetAssociativeCache.contains",
@@ -108,11 +107,6 @@ class AnalysisConfig:
         "TraceSimulator._serve_store",
         "TraceSimulator._serve_store_streaming",
         "TraceSimulator._fetch_arrives",
-        "TwoLevelHierarchy.load",
-        "TwoLevelHierarchy.store",
-        "TwoLevelHierarchy._fill_l1",
-        "MSHRFile.lookup",
-        "MSHRFile.merge",
     )
     worker_modules: Tuple[str, ...] = ("repro.experiments.sweep",)
     worker_entry_patterns: Tuple[str, ...] = ("_run_", "_worker", "_pool_worker")
@@ -122,7 +116,6 @@ class AnalysisConfig:
     flow_entry_points: Tuple[str, ...] = (
         "repro.fullsystem.system:FullSystemSimulator.run",
         "repro.fullsystem.system:FullSystemSimulator.replay_events",
-        "repro.sim.tracesim:TraceSimulator.replay",
     )
     flow_exempt_modules: Tuple[str, ...] = ("repro.telemetry",)
     key_function_markers: Tuple[str, ...] = (

@@ -160,20 +160,6 @@ TELEMETRY_SAMPLE_ENV = _declare(
     "per-decision trace sampling rate (default 1024; 1 = every call)",
     pinned_by="tests/telemetry/test_disabled_overhead.py",
 )
-TELEMETRY_HOT_ENV = _declare(
-    "REPRO_TELEMETRY_HOT",
-    "capture-only",
-    "opt per-load (hot-path) profiler spans in; read once at import",
-    pinned_by="tests/telemetry/test_disabled_overhead.py",
-)
-
-# Benchmarks (benchmarks/test_trace_pack.py).
-BENCH_OUT_ENV = _declare(
-    "REPRO_BENCH_OUT",
-    "capture-only",
-    "output path of the replay-benchmark JSON report (default BENCH_replay.json)",
-    pinned_by="benchmarks/test_trace_pack.py",
-)
 
 
 # --------------------------------------------------------------------- #

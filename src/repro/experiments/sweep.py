@@ -521,7 +521,13 @@ class SweepEngine:
         """
         started = time.time()
         requested = list(points)
-        unique: List[SweepPoint] = list(dict.fromkeys(requested))
+        # Dedupe by identity, not by point equality: drivers may spell one
+        # point two ways (config=None and ApproximatorConfig() are both
+        # default LVA), and it must still run and journal once.
+        by_identity: Dict[common.Identity, SweepPoint] = {}
+        for point in requested:
+            by_identity.setdefault(point_identity(point), point)
+        unique: List[SweepPoint] = list(by_identity.values())
         baselines: List[SweepPoint] = list(
             dict.fromkeys(point.baseline() for point in unique if not point.fullsystem)
         )

@@ -1,36 +1,23 @@
-"""Memory-hierarchy substrate: caches, MSHRs, coherence, main memory.
+"""Memory substrate: blocks, replacement, caches and MSI coherence.
 
-These are the structures the paper's evaluation platform provides (64 KB
-private L1s in the Pin phase; 16 KB L1s + 512 KB shared L2 + 1 GB memory in
-the full-system phase, Table II). Everything is built from scratch: blocks,
-replacement policies, set-associative caches, an MSHR file, an MSI
-directory and a two-level hierarchy helper.
+These are the structures of the paper's evaluation platform (64 KB
+private L1s in the Pin phase; 16 KB L1s + 512 KB shared L2 in the
+full-system phase, Table II), built from scratch. Main memory is the
+flat Table II latency the full-system simulator charges per L2 miss.
 """
 
 from repro.mem.block import CacheBlock, CoherenceState
 from repro.mem.cache import AccessResult, CacheConfig, SetAssociativeCache
 from repro.mem.coherence import MSIDirectory
-from repro.mem.dram import DRAMConfig, DRAMModel
-from repro.mem.hierarchy import HierarchyAccess, TwoLevelHierarchy
-from repro.mem.memory import MainMemory
-from repro.mem.mshr import MSHRFile
-from repro.mem.replacement import FIFOPolicy, LRUPolicy, RandomPolicy, ReplacementPolicy
+from repro.mem.replacement import LRUPolicy, ReplacementPolicy
 
 __all__ = [
     "AccessResult",
     "CacheBlock",
     "CacheConfig",
     "CoherenceState",
-    "DRAMConfig",
-    "DRAMModel",
-    "FIFOPolicy",
-    "HierarchyAccess",
     "LRUPolicy",
-    "MainMemory",
-    "MSHRFile",
     "MSIDirectory",
-    "RandomPolicy",
     "ReplacementPolicy",
     "SetAssociativeCache",
-    "TwoLevelHierarchy",
 ]

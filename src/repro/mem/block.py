@@ -22,7 +22,7 @@ class CacheBlock:
     state.
     """
 
-    __slots__ = ("tag", "valid", "dirty", "state", "last_use", "inserted_at", "prefetched")
+    __slots__ = ("tag", "valid", "dirty", "state", "last_use", "prefetched")
 
     def __init__(self, tag: int = 0) -> None:
         self.tag = tag
@@ -30,7 +30,6 @@ class CacheBlock:
         self.dirty = False
         self.state = CoherenceState.INVALID
         self.last_use = 0
-        self.inserted_at = 0
         #: Set when the block was brought in by a prefetch and not yet
         #: demanded; used to measure useful vs. useless prefetches.
         self.prefetched = False
@@ -42,7 +41,6 @@ class CacheBlock:
         self.dirty = False
         self.state = CoherenceState.SHARED
         self.last_use = now
-        self.inserted_at = now
         self.prefetched = prefetched
 
     def invalidate(self) -> None:

@@ -57,20 +57,17 @@ class CacheConfig:
 
 @dataclass(slots=True)
 class AccessResult:
-    """Outcome of one cache access.
+    """Outcome of one :meth:`SetAssociativeCache.fill`.
 
-    The unremarkable outcomes (plain hit, plain miss) are returned as
-    shared singleton instances so the per-load hot path allocates nothing;
-    treat results as read-only.
+    The unremarkable outcomes (block already present, fill without a
+    dirty victim) are returned as shared singleton instances so fills
+    allocate nothing; treat results as read-only.
     """
 
     hit: bool
     #: Block address (block-aligned byte address) of a dirty block evicted
-    #: to make room, or None. Only produced by fills.
+    #: to make room, or None.
     writeback: Optional[int] = None
-    #: True when the access hit a block that was prefetched and had not yet
-    #: been demanded (a *useful* prefetch).
-    prefetch_hit: bool = False
 
 
 #: Shared results for the overwhelmingly common outcomes (see AccessResult).
@@ -155,11 +152,6 @@ class SetAssociativeCache:
         """Block-aligned byte address containing ``addr``."""
         return addr & ~(self.config.block_bytes - 1)
 
-    def _decompose(self, addr: int) -> tuple:
-        """(set index, tag) of ``addr``; the per-access methods inline it."""
-        block = addr >> self._offset_bits
-        return block & self._index_mask, block >> self._index_bits
-
     def _find(self, addr: int) -> Optional[CacheBlock]:
         block = addr >> self._offset_bits
         return self._sets[block & self._index_mask].get(block >> self._index_bits)
@@ -168,33 +160,16 @@ class SetAssociativeCache:
     # Accesses                                                           #
     # ------------------------------------------------------------------ #
 
-    def access(self, addr: int, is_write: bool = False) -> AccessResult:
-        """Probe the cache for ``addr``; updates stats and recency.
+    def probe(self, addr: int, is_write: bool = False) -> bool:
+        """Access ``addr`` and return whether it hit.
 
         A miss does *not* implicitly fill — the caller decides whether a
         fetch happens at all (that decoupling is the heart of the paper's
         approximation degree). Call :meth:`fill` when the block arrives.
-
-        Plain hits and misses return shared :class:`AccessResult`
-        singletons (no allocation); callers must not mutate results.
-        The simulators use :meth:`probe`; this richer form also reports
-        whether the hit consumed a prefetch.
-        """
-        block = self._find(addr)
-        prefetch_hit = block is not None and block.prefetched
-        if not self.probe(addr, is_write):
-            return _MISS
-        if prefetch_hit:
-            return AccessResult(hit=True, prefetch_hit=True)
-        return _HIT
-
-    def probe(self, addr: int, is_write: bool = False) -> bool:
-        """Access ``addr`` and return whether it hit.
-
-        Updates stats and recency exactly like :meth:`access` but never
-        allocates. The simulators probe the L1 on every load instruction,
-        so this is the hottest path in the whole library: it is one frame,
-        with the set/tag decomposition inlined.
+        Updates stats and recency; a hit on a prefetched block counts one
+        useful prefetch. The simulators probe the L1 on every load
+        instruction, so this is the hottest path in the whole library: it
+        is one frame, with the set/tag decomposition inlined.
         """
         clock = self._clock + 1
         self._clock = clock

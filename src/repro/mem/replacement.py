@@ -1,16 +1,14 @@
 """Replacement policies for set-associative caches.
 
 Policies pick a victim way within one set. They are stateless objects —
-all recency/insertion metadata lives in the blocks themselves — so one
-policy instance can serve every set of every cache.
+all recency metadata lives in the blocks themselves — so one policy
+instance can serve every set of every cache.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.mem.block import CacheBlock
 
@@ -38,28 +36,3 @@ class LRUPolicy(ReplacementPolicy):
             if block.last_use < ways[oldest].last_use:
                 oldest = i
         return oldest
-
-
-class FIFOPolicy(ReplacementPolicy):
-    """Evict the earliest-inserted way, ignoring recency."""
-
-    def victim(self, ways: Sequence[CacheBlock]) -> int:
-        oldest = 0
-        for i, block in enumerate(ways):
-            if block.inserted_at < ways[oldest].inserted_at:
-                oldest = i
-        return oldest
-
-    def on_hit(self, block: CacheBlock, now: int) -> None:
-        # FIFO deliberately does not track recency.
-        del block, now
-
-
-class RandomPolicy(ReplacementPolicy):
-    """Evict a uniformly random way (cheap hardware, decent behaviour)."""
-
-    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-
-    def victim(self, ways: Sequence[CacheBlock]) -> int:
-        return int(self._rng.integers(0, len(ways)))

@@ -24,7 +24,7 @@ original event list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -124,37 +124,6 @@ class PackedTrace:
     # Construction                                                       #
     # ------------------------------------------------------------------ #
 
-    @classmethod
-    def from_arrays(cls, data: Mapping[str, np.ndarray]) -> "PackedTrace":
-        """Build from a column mapping, casting dtypes and filling columns
-        absent from older serialisations (``is_store`` defaults to all
-        False; ``value_is_int`` to the pre-discriminator ``not is_float``
-        semantics).
-
-        Raises:
-            ValueError: on ragged or non-1-D columns.
-        """
-        is_float = np.asarray(data["is_float"], dtype=bool)
-        length = len(is_float)
-        arrays: Dict[str, np.ndarray] = {}
-        for name, dtype in TRACE_COLUMNS:
-            if name in data:
-                column = np.asarray(data[name], dtype=np.dtype(dtype))
-            elif name == "is_store":
-                column = np.zeros(length, dtype=bool)
-            elif name == "value_is_int":
-                column = ~is_float
-            else:
-                raise ValueError(f"packed trace is missing column {name!r}")
-            if column.ndim != 1:
-                raise ValueError(f"column {name!r} is not 1-D")
-            if len(column) != length:
-                raise ValueError(
-                    f"column {name!r} has {len(column)} rows, expected {length}"
-                )
-            arrays[name] = column
-        return cls(**arrays)
-
     def select(self, indices: np.ndarray) -> "PackedTrace":
         """A new packed trace of the rows at ``indices`` (in that order)."""
         return PackedTrace(
@@ -196,17 +165,6 @@ class PackedTrace:
         """Thread ids in order of first appearance in the trace."""
         tids, first = np.unique(np.asarray(self.tid), return_index=True)
         return [int(tids[j]) for j in np.argsort(first, kind="stable")]
-
-    def per_thread(self) -> Dict[int, "PackedTrace"]:
-        """Split into per-thread packed streams, preserving order.
-
-        Keys appear in order of first appearance, matching
-        :meth:`Trace.per_thread`.
-        """
-        tid = np.asarray(self.tid)
-        return {
-            t: self.select(np.flatnonzero(tid == t)) for t in self.thread_order()
-        }
 
     def per_core_indices(self, num_cores: int) -> Dict[int, np.ndarray]:
         """Row indices of each core's replay queue, vectorized.
@@ -317,33 +275,6 @@ class Trace:
             gap=np.array([e.gap for e in events], dtype=np.int64),
             is_store=np.array([e.is_store for e in events], dtype=bool),
         )
-
-    # ------------------------------------------------------------------ #
-    # Persistence                                                        #
-    # ------------------------------------------------------------------ #
-
-    def save(self, path: str) -> None:
-        """Serialise to a compressed ``.npz`` file.
-
-        Phase-1 trace capture is the expensive step of the methodology;
-        persisting traces lets phase-2 sweeps (and other machines) replay
-        them without re-running the workload. The file holds the
-        :data:`TRACE_COLUMNS` of :meth:`pack`, so both datatypes
-        round-trip exactly.
-        """
-        np.savez_compressed(path, **self.pack().columns())
-
-    @classmethod
-    def load(cls, path: str) -> "Trace":
-        """Deserialise a trace written by :meth:`save`.
-
-        Files written before the ``value_is_int``/``is_store`` columns
-        existed load with their historical semantics (value type from
-        ``is_float``; no stores).
-        """
-        with np.load(path) as data:
-            packed = PackedTrace.from_arrays({name: data[name] for name in data.files})
-        return packed.to_trace()
 
 
 class TraceRecorder:

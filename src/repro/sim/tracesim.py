@@ -36,7 +36,7 @@ from repro.prefetch.base import Prefetcher
 from repro.prefetch.ghb import GHBPrefetcher
 from repro.sim.frontend import MemoryFrontend
 from repro.sim.stats import SimulationStats
-from repro.sim.trace import PackedTrace, Trace, TraceRecorder
+from repro.sim.trace import TraceRecorder
 from repro.telemetry import sim_hook
 
 Number = Union[int, float]
@@ -249,48 +249,6 @@ class TraceSimulator(MemoryFrontend):
                 self._tel.on_fault("fetch_drop", addr)
             return False
         return True
-
-    # ------------------------------------------------------------------ #
-    # Trace replay                                                       #
-    # ------------------------------------------------------------------ #
-
-    def replay(self, trace: Union[Trace, PackedTrace]) -> SimulationStats:
-        """Drive the simulator from a captured trace instead of a live
-        workload; returns the final stats (:meth:`finish` is applied).
-
-        The input is packed first, then one loop walks its event tuples
-        through the same :meth:`_serve_load` and :meth:`_serve_store` a
-        live run uses. ``tests/sim/test_replay_pin.py`` pins its results.
-
-        Replay is *open loop*: recorded values are fed to the technique
-        exactly as captured, so an LVA run cannot steer the address
-        stream the way a live (closed-loop) execution does. It measures
-        cache/approximator behaviour on a fixed load stream — the same
-        caveat as every trace-driven simulator, including the paper's
-        phase-2 — and is therefore not a substitute for
-        :func:`repro.experiments.common.run_technique`'s live phase-1
-        runs, whose output error depends on the clobbered values.
-
-        The gap is measurable even for a precise run of the same capture.
-        Streaming stores are recorded as plain stores, so their L1
-        invalidations are lost: small bodytrack at seed 3 replays with 633
-        raw misses against 1,187 live. And instructions retired after the
-        last recorded access are not in the trace, so on 6 of the 7
-        baseline workloads the replayed ``instructions`` falls short of
-        the live count by that trailing gap.
-        """
-        packed = trace.pack() if isinstance(trace, Trace) else trace
-        instructions = self.instructions
-        serve_load = self._serve_load
-        serve_store = self._serve_store
-        for pc, addr, value, is_float, approximable, gap, is_store in packed.event_tuples():
-            instructions += gap + 1
-            self.instructions = instructions
-            if is_store:
-                serve_store(addr)
-            else:
-                serve_load(pc, addr, value, approximable, is_float)
-        return self.finish()
 
     # ------------------------------------------------------------------ #
     # Lifecycle                                                          #

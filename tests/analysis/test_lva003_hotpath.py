@@ -87,7 +87,7 @@ class TestHotMethodAllocations:
         assert _hits(
             """\
             class SetAssociativeCache:
-                def access(self, addr):
+                def fill(self, addr):
                     ways = [w for w in self.ways if w.valid]
                     return ways
             """
@@ -106,8 +106,8 @@ class TestHotMethodAllocations:
     def test_generator_expression_in_hot_method_fires(self):
         assert _hits(
             """\
-            class TwoLevelHierarchy:
-                def load(self, addr):
+            class TraceSimulator:
+                def _serve_load(self, addr):
                     return sum(w.age for w in self.ways)
             """
         ) == [(3, "LVA003")]
@@ -115,8 +115,8 @@ class TestHotMethodAllocations:
     def test_nested_function_in_hot_method_fires(self):
         assert _hits(
             """\
-            class MSHRFile:
-                def lookup(self, addr):
+            class SetAssociativeCache:
+                def invalidate(self, addr):
                     def score(entry):
                         return entry.age
                     return score
@@ -128,7 +128,7 @@ class TestHotMethodAllocations:
             _hits(
                 """\
                 class SetAssociativeCache:
-                    def access(self, addr):
+                    def contains(self, addr):
                         for way in self.ways:
                             if way.tag == addr:
                                 return way

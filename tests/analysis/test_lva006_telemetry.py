@@ -117,7 +117,7 @@ class TestGuardedHookCalls:
                 class TraceSimulator:
                     def _serve_load(self, pc, addr):
                         self.stats.loads += 1
-                        self.l1.access(addr)
+                        self.l1.probe(addr)
                 """
             )
             == []

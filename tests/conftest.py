@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -21,13 +18,6 @@ def _no_disk_cache(monkeypatch):
     ``REPRO_NO_CACHE`` and pointing ``REPRO_CACHE_DIR`` at a tmp_path.
     """
     monkeypatch.setenv(diskcache.NO_CACHE_ENV, "1")
-
-
-@pytest.fixture(scope="session")
-def replay_pin() -> dict:
-    """Pinned open-loop replay results (see tests/sim/test_replay_pin.py)."""
-    with (Path(__file__).parent / "sim" / "expected" / "replay_small.json").open() as fh:
-        return json.load(fh)
 
 
 @pytest.fixture

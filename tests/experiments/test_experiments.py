@@ -48,7 +48,7 @@ class TestCommon:
 
     def test_capture_trace_has_all_threads(self):
         trace = common.capture_trace("blackscholes", small=True)
-        assert set(trace.per_thread()) == {0, 1, 2, 3}
+        assert set(trace.thread_order()) == {0, 1, 2, 3}
 
     def test_result_table_formatting(self):
         result = common.ExperimentResult("X", "desc")

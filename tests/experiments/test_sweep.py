@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import pytest
 
 from repro import faults
 from repro.core.config import ApproximatorConfig
-from repro.experiments import common, diskcache, fig4, fig10, fig12, fig13, runner
+from repro.experiments import common, diskcache, fig4, fig10, fig12, fig13, journal, runner
 from repro.experiments.sweep import (
     SweepEngine,
     SweepPoint,
@@ -114,6 +115,32 @@ class TestSerialEngine:
         assert dataclasses.asdict(swept) == dataclasses.asdict(expected)
         assert report.precise_computed == report.unique_baselines == 7
         assert report.technique_computed == report.unique_points == 56
+
+    def test_point_spelled_two_ways_runs_and_journals_once(self, clean_caches):
+        """Default LVA declared as ``config=None`` (fig12, table1) and as
+        ``ApproximatorConfig()`` (fig4, the ablations) is one point: one
+        computation and one journal record per key, and the driver's
+        render afterwards computes nothing."""
+        bare = fig12.DRIVER.points(small=True)
+        spelled = [dataclasses.replace(p, config=ApproximatorConfig()) for p in bare]
+        assert not set(bare) & set(spelled)
+
+        report = SweepEngine(jobs=1).execute(bare + spelled)
+        assert report.unique_points == report.technique_computed == len(bare)
+
+        done = [
+            json.loads(line)
+            for path in journal.journal_dir().glob("*.jsonl")
+            for line in path.read_text().splitlines()
+            if json.loads(line)["event"] == "done"
+        ]
+        keys = [record["key"] for record in done]
+        assert len(keys) == len(set(keys)) == len(bare) + report.unique_baselines
+
+        before = common.COMPUTE_COUNTS.copy()
+        fig12.DRIVER.render(small=True)
+        for kind in common.KINDS:
+            assert common.COMPUTE_COUNTS[kind, "computed"] == before[kind, "computed"]
 
     def test_driver_rerun_is_pure_cache_hits(self, clean_caches):
         SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))

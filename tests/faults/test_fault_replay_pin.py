@@ -1,11 +1,8 @@
-"""Bit-equality pin: fault-injected replays against the object reference.
+"""Bit-identity pin: fault-injected live phase-1 runs.
 
-The deterministic ``flip``/``drop`` fault stream must perturb the packed
-replay exactly as it perturbed the object reference interpreter, which
-is no longer in the tree: each result is compared against
-``tests/sim/expected/replay_small.json``, recorded where the object,
-packed and vector paths all produced it, for a ``Trace`` input and for
-its packed form alike.
+The deterministic ``flip``/``drop`` fault stream must perturb a live run
+exactly as it did when ``tests/sim/expected/live_configs_small.json`` was
+recorded, and storage-only fault clauses must not perturb it at all.
 """
 
 from __future__ import annotations
@@ -19,42 +16,38 @@ from tests.sim.test_replay_pin import (
     FAULT_SPECS,
     FAULT_WORKLOADS,
     MODES,
-    capture,
-    replay,
+    live,
+    live_pin,  # noqa: F401  (fixture)
 )
 
 
-@pytest.fixture(scope="module")
-def traces():
-    """Clean captures (fault injection never applies to capture)."""
-    return {name: capture(name) for name in FAULT_WORKLOADS}
+@pytest.fixture(autouse=True)
+def _no_faults(monkeypatch):
+    monkeypatch.delenv(INJECT_ENV, raising=False)
 
 
 class TestFaultedPackedPin:
-    """flip/drop replays: packed replay == object reference, bit for bit."""
+    """flip/drop live runs match the pin, bit for bit."""
 
     @pytest.mark.parametrize("spec", FAULT_SPECS)
     @pytest.mark.parametrize("workload", FAULT_WORKLOADS)
     @pytest.mark.parametrize("mode", [MODES[label] for label in FAULT_MODES])
     def test_packed_matches_object_under_faults(
-        self, workload, mode, spec, traces, replay_pin, monkeypatch
+        self, workload, mode, spec, live_pin, monkeypatch
     ):
         monkeypatch.setenv(INJECT_ENV, spec)
-        expected = replay_pin["faults"][spec][workload][mode.value]
-        assert replay(traces[workload], mode) == expected
-        assert replay(traces[workload], mode, packed=False) == expected
+        expected = live_pin["faults"][spec][workload][mode.value]
+        assert live(workload, mode) == expected
 
-    def test_faults_actually_perturb_the_replay(self, traces, monkeypatch):
+    def test_faults_actually_perturb_the_replay(self, monkeypatch):
         """Guard against vacuous pins: the spec must change the outcome."""
-        trace = traces["fluidanimate"]
-        clean = replay(trace, Mode.LVA)
+        clean = live("fluidanimate", Mode.LVA)
         monkeypatch.setenv(INJECT_ENV, "flip:prob=0.5,seed=7")
-        assert replay(trace, Mode.LVA) != clean
+        assert live("fluidanimate", Mode.LVA) != clean
 
-    def test_storage_faults_leave_the_replay_clean(self, traces, monkeypatch):
-        """Storage clauses fold into nothing for replay: a pure storage
-        spec replays exactly like no spec at all."""
-        trace = traces["fluidanimate"]
-        clean = replay(trace, Mode.LVA)
+    def test_storage_faults_leave_the_replay_clean(self, monkeypatch):
+        """Storage clauses fold into nothing for the simulator: a pure
+        storage spec runs exactly like no spec at all."""
+        clean = live("fluidanimate", Mode.LVA)
         monkeypatch.setenv(INJECT_ENV, "torn:target=cache;kill:site=journal")
-        assert replay(trace, Mode.LVA) == clean
+        assert live("fluidanimate", Mode.LVA) == clean

@@ -8,9 +8,7 @@ from repro import faults
 from repro.experiments import common, fault_ablation
 from repro.faults import MemoryFaultModel, parse_spec
 from repro.faults.memory import build_memory_model
-from repro.mem.hierarchy import TwoLevelHierarchy
-from repro.mem.memory import MainMemory
-from repro.sim.tracesim import Mode
+from repro.sim.tracesim import Mode, TraceSimulator
 
 
 class TestMemoryFaultModel:
@@ -69,29 +67,29 @@ class TestMemoryFaultModel:
 
 
 class TestHierarchyWiring:
-    def test_main_memory_dropped_fetch_pays_latency(self):
-        memory = MainMemory(fault_model=MemoryFaultModel(drop_prob=1.0, seed=0))
-        latency, delivered = memory.fetch_block(0x1000)
-        assert latency == memory.latency
-        assert not delivered
-        assert memory.stats.dropped_reads == 1
-        assert memory.stats.reads == 0
-
-    def test_hierarchy_dropped_fetch_fills_nothing(self):
-        hierarchy = TwoLevelHierarchy(
-            memory=MainMemory(fault_model=MemoryFaultModel(drop_prob=1.0, seed=0))
-        )
-        first = hierarchy.load(0x2000)
-        assert first.served_by == "dropped"
-        assert not first.l1_filled
+    def test_hierarchy_dropped_fetch_fills_nothing(self, monkeypatch):
+        """Under ``drop:prob=1`` no fetch ever arrives: the L1 is never
+        filled and every miss is a dropped fetch."""
+        monkeypatch.setenv(faults.INJECT_ENV, "drop:prob=1")
+        sim = TraceSimulator(Mode.PRECISE)
+        sim.values[0x2000] = 1.0
+        sim.load(0x400, 0x2000)
         # The block never arrived, so the next access misses again.
-        second = hierarchy.load(0x2000)
-        assert second.served_by == "dropped"
+        sim.load(0x400, 0x2000)
+        stats = sim.finish()
+        assert sim.l1.stats.fills == 0 and sim.l1.resident_blocks == 0
+        assert stats.fetches == 0
+        assert stats.fetches_dropped == stats.raw_misses == 2
 
-    def test_clean_hierarchy_unchanged(self):
-        hierarchy = TwoLevelHierarchy()
-        assert hierarchy.load(0x3000).served_by == "memory"
-        assert hierarchy.load(0x3000).served_by == "l1"
+    def test_clean_hierarchy_unchanged(self, monkeypatch):
+        monkeypatch.delenv(faults.INJECT_ENV, raising=False)
+        sim = TraceSimulator(Mode.PRECISE)
+        sim.values[0x3000] = 1.0
+        sim.load(0x400, 0x3000)
+        sim.load(0x400, 0x3000)
+        assert sim.stats.raw_misses == sim.stats.fetches == 1
+        assert sim.stats.fetches_dropped == 0
+        assert sim.l1.stats.hits == 1
 
 
 class TestActivationContext:

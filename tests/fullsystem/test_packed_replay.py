@@ -3,9 +3,7 @@
 The columnar hot loop in :meth:`FullSystemSimulator.run` must reproduce
 the :meth:`~FullSystemSimulator.replay_events` reference interpreter
 exactly — same scheduling, same stats, same energy — or the perf
-optimisation would silently change the science. :meth:`TraceSimulator.replay`
-has no second interpreter left, so it is held to the results pinned from
-the one it replaced.
+optimisation would silently change the science.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from repro import (
     get_workload,
 )
 from repro.experiments.common import BASELINE_WORKLOADS
-from tests.sim.test_replay_pin import FLUIDANIMATE_CONFIGS, MODES, replay
 
 
 def capture(name: str, seed: int = 3):
@@ -86,24 +83,3 @@ class TestFullSystemBitEquality:
         via_packed = FullSystemSimulator(FullSystemConfig()).run(trace.pack())
         assert_results_equal(via_object, via_packed)
 
-
-class TestTraceSimReplayBitEquality:
-    """Replay of a ``Trace`` and of its packed form both reproduce the
-    object reference interpreter's results, pinned in
-    ``tests/sim/expected/replay_small.json``."""
-
-    @pytest.mark.parametrize("mode", ["precise", "lva", "lvp", "prefetch"])
-    def test_every_replay_path_matches_object_replay(self, mode, replay_pin):
-        trace = capture("swaptions")
-        expected = replay_pin["modes"]["swaptions"][mode]
-        assert replay(trace, MODES[mode]) == expected
-        assert replay(trace, MODES[mode], packed=False) == expected
-
-    @pytest.mark.parametrize("label", ["deg2", "deg4-ghb2", "clp", "hybrid", "hybrid-deg2"])
-    def test_degree_and_predictor_configs_match_object_replay(self, label, replay_pin):
-        config = FLUIDANIMATE_CONFIGS[label]
-        mode = Mode.PREDICTOR if config.predictor else Mode.LVA
-        trace = capture("fluidanimate")
-        expected = replay_pin["fluidanimate"][label]
-        assert replay(trace, mode, config) == expected
-        assert replay(trace, mode, config, packed=False) == expected

@@ -1,10 +1,8 @@
-"""Remaining small edges: hierarchy stats, memory sizes, cache recompose."""
+"""Remaining small edges: cache recompose and block addresses."""
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.mem.cache import CacheConfig, SetAssociativeCache
-from repro.mem.memory import MainMemory
 
 
 class TestRecompose:
@@ -16,7 +14,7 @@ class TestRecompose:
         )
         victim_addr = 0x12340  # block-aligned
         cache.fill(victim_addr)
-        cache.access(victim_addr, is_write=True)
+        cache.probe(victim_addr, is_write=True)
         # Next fill maps to the same set (same index bits) and evicts it.
         conflicting = victim_addr + 4 * 64
         result = cache.fill(conflicting)
@@ -28,18 +26,9 @@ class TestRecompose:
             CacheConfig(size_bytes=2 * 64, associativity=1, block_bytes=64)
         )
         cache.fill(addr)
-        cache.access(addr, is_write=True)
+        cache.probe(addr, is_write=True)
         result = cache.fill(addr + 2 * 64)
         assert result.writeback == cache.block_address(addr)
-
-
-class TestMemorySizing:
-    def test_default_one_gigabyte(self):
-        assert MainMemory().size_bytes == 1 << 30
-
-    def test_zero_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MainMemory(size_bytes=0)
 
 
 class TestBlockAddressHelper:

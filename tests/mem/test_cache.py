@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.mem.cache import CacheConfig, SetAssociativeCache
-from repro.mem.replacement import FIFOPolicy, LRUPolicy
+from repro.mem.replacement import LRUPolicy, ReplacementPolicy
 
 
 def small_cache(assoc=2, sets=4, block=64):
@@ -40,31 +40,31 @@ class TestConfig:
 class TestAccess:
     def test_cold_miss_then_hit_after_fill(self):
         cache = small_cache()
-        assert not cache.access(0x1000).hit
+        assert not cache.probe(0x1000)
         cache.fill(0x1000)
-        assert cache.access(0x1000).hit
+        assert cache.probe(0x1000)
 
     def test_miss_does_not_implicitly_fill(self):
         # The fetch decoupling at the heart of approximation degree.
         cache = small_cache()
-        cache.access(0x1000)
-        assert not cache.access(0x1000).hit
+        cache.probe(0x1000)
+        assert not cache.probe(0x1000)
 
     def test_same_block_different_offset_hits(self):
         cache = small_cache()
         cache.fill(0x1000)
-        assert cache.access(0x1008).hit
-        assert cache.access(0x103F).hit
+        assert cache.probe(0x1008)
+        assert cache.probe(0x103F)
 
     def test_adjacent_block_misses(self):
         cache = small_cache()
         cache.fill(0x1000)
-        assert not cache.access(0x1040).hit
+        assert not cache.probe(0x1040)
 
     def test_write_sets_dirty_and_eviction_reports_writeback(self):
         cache = small_cache(assoc=1, sets=1)
         cache.fill(0x0)
-        cache.access(0x0, is_write=True)
+        cache.probe(0x0, is_write=True)
         result = cache.fill(0x40)  # evicts the dirty block
         assert result.writeback == 0x0
 
@@ -83,7 +83,7 @@ class TestAccess:
         cache = small_cache()
         cache.fill(0x1000)
         assert cache.invalidate(0x1000)
-        assert not cache.access(0x1000).hit
+        assert not cache.probe(0x1000)
         assert not cache.invalidate(0x1000)
 
     def test_contains_does_not_touch_stats(self):
@@ -94,51 +94,62 @@ class TestAccess:
         assert cache.stats.accesses == before
 
 
+class FirstInFirstOut(ReplacementPolicy):
+    """Evict the oldest fill. A set keeps its ways in fill order, so that
+    is way 0; hits leave recency alone."""
+
+    def victim(self, ways):
+        return 0
+
+    def on_hit(self, block, now):
+        pass
+
+
 class TestLRU:
     def test_lru_evicts_least_recent(self):
         cache = small_cache(assoc=2, sets=1)
         cache.fill(0x0)
         cache.fill(0x40)
-        cache.access(0x0)          # 0x0 is now most recent
+        cache.probe(0x0)           # 0x0 is now most recent
         cache.fill(0x80)           # evicts 0x40
-        assert cache.access(0x0).hit
-        assert not cache.access(0x40).hit
+        assert cache.probe(0x0)
+        assert not cache.probe(0x40)
 
     def test_fifo_ignores_recency(self):
         cache = SetAssociativeCache(
             CacheConfig(size_bytes=2 * 64, associativity=2, block_bytes=64),
-            policy=FIFOPolicy(),
+            policy=FirstInFirstOut(),
         )
         cache.fill(0x0)
         cache.fill(0x40)
-        cache.access(0x0)
+        cache.probe(0x0)
         cache.fill(0x80)           # evicts 0x0 (inserted first) despite recency
-        assert not cache.access(0x0).hit
-        assert cache.access(0x40).hit
+        assert not cache.probe(0x0)
+        assert cache.probe(0x40)
 
 
 class TestPrefetchTracking:
     def test_prefetch_hit_counted_once(self):
         cache = small_cache()
         cache.fill(0x1000, prefetched=True)
-        first = cache.access(0x1000)
-        second = cache.access(0x1000)
-        assert first.prefetch_hit and not second.prefetch_hit
+        assert cache.probe(0x1000)
+        assert cache.stats.useful_prefetches == 1
+        assert cache.probe(0x1000)
         assert cache.stats.useful_prefetches == 1
 
 
 class TestStats:
     def test_miss_rate(self):
         cache = small_cache()
-        cache.access(0x0)
+        cache.probe(0x0)
         cache.fill(0x0)
-        cache.access(0x0)
+        cache.probe(0x0)
         assert cache.stats.miss_rate == pytest.approx(0.5)
 
     def test_reset(self):
         cache = small_cache()
         cache.fill(0x0)
-        cache.access(0x0)
+        cache.probe(0x0)
         cache.reset()
         assert cache.stats.accesses == 0
         assert cache.resident_blocks == 0
@@ -150,7 +161,7 @@ class TestProperties:
     def test_capacity_never_exceeded(self, addrs):
         cache = small_cache(assoc=2, sets=4)
         for addr in addrs:
-            if not cache.access(addr).hit:
+            if not cache.probe(addr):
                 cache.fill(addr)
         assert cache.resident_blocks <= 8
 
@@ -159,7 +170,7 @@ class TestProperties:
     def test_hits_plus_misses_equals_accesses(self, addrs):
         cache = small_cache()
         for addr in addrs:
-            if not cache.access(addr).hit:
+            if not cache.probe(addr):
                 cache.fill(addr)
         assert cache.stats.hits + cache.stats.misses == cache.stats.accesses
 
@@ -169,7 +180,7 @@ class TestProperties:
         cache = small_cache()
         for addr in addrs:
             cache.fill(addr)
-            assert cache.access(addr).hit
+            assert cache.probe(addr)
 
 
 class SubclassedLRU(LRUPolicy):
@@ -181,7 +192,6 @@ cache_op = st.one_of(
     st.tuples(st.just("fill"), st.integers(0, 0x1FFF), st.booleans()),
     st.tuples(st.just("probe"), st.integers(0, 0x1FFF), st.booleans()),
     st.tuples(st.just("write_hit"), st.integers(0, 0x1FFF)),
-    st.tuples(st.just("access"), st.integers(0, 0x1FFF), st.booleans()),
     st.tuples(st.just("invalidate"), st.integers(0, 0x1FFF)),
 )
 
@@ -193,8 +203,6 @@ def _drive(cache, ops):
             outcomes.append(cache.fill(addr, prefetched=flag[0]))
         elif kind == "probe":
             outcomes.append(cache.probe(addr, is_write=flag[0]))
-        elif kind == "access":
-            outcomes.append(cache.access(addr, is_write=flag[0]))
         else:
             outcomes.append(getattr(cache, kind)(addr))
     return outcomes

@@ -1,89 +1,42 @@
-"""Tests for the MSHR file and main memory."""
+"""Main memory: the flat Table II latency the full-system simulator charges.
+
+Every L2 miss of :class:`~repro.fullsystem.system.FullSystemSimulator`
+pays ``FullSystemConfig.memory_latency`` cycles; there is no other
+memory model.
+"""
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
-from repro.mem.memory import MainMemory
-from repro.mem.mshr import MSHRFile
+from repro.errors import ConfigurationError
+from repro.fullsystem import FullSystemConfig, FullSystemSimulator
+from repro.sim.trace import LoadEvent, Trace
 
 
-class TestMSHR:
-    def test_allocate_and_complete(self):
-        mshrs = MSHRFile(2)
-        mshrs.allocate(0x1000, now=5, waiter="load-a")
-        entry = mshrs.complete(0x1000)
-        assert entry.waiters == ["load-a"]
-        assert mshrs.outstanding == 0
-
-    def test_merge_secondary_miss(self):
-        mshrs = MSHRFile(2)
-        mshrs.allocate(0x1000, now=1, waiter="a")
-        mshrs.merge(0x1000, "b")
-        entry = mshrs.complete(0x1000)
-        assert entry.waiters == ["a", "b"]
-        assert mshrs.stats.merges == 1
-
-    def test_full_file_rejects_allocation(self):
-        mshrs = MSHRFile(1)
-        mshrs.allocate(0x0, now=0)
-        assert mshrs.is_full
-        with pytest.raises(SimulationError):
-            mshrs.allocate(0x40, now=1)
-        assert mshrs.stats.stalls_full == 1
-
-    def test_duplicate_allocation_rejected(self):
-        mshrs = MSHRFile(4)
-        mshrs.allocate(0x1000, now=0)
-        with pytest.raises(SimulationError):
-            mshrs.allocate(0x1000, now=1)
-
-    def test_merge_without_entry_rejected(self):
-        with pytest.raises(SimulationError):
-            MSHRFile(2).merge(0x1000, "x")
-
-    def test_complete_unknown_rejected(self):
-        with pytest.raises(SimulationError):
-            MSHRFile(2).complete(0x1000)
-
-    def test_lookup(self):
-        mshrs = MSHRFile(2)
-        assert mshrs.lookup(0x1000) is None
-        mshrs.allocate(0x1000, now=3)
-        assert mshrs.lookup(0x1000).issue_time == 3
-
-    def test_zero_entries_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MSHRFile(0)
-
-    def test_reset(self):
-        mshrs = MSHRFile(2)
-        mshrs.allocate(0x0, now=0)
-        mshrs.reset()
-        assert mshrs.outstanding == 0
-        assert mshrs.stats.allocations == 0
+def loads(*pairs):
+    """A trace of precise loads, one ``(tid, addr)`` pair each."""
+    return Trace([
+        LoadEvent(tid=tid, pc=0x400, addr=addr, value=0, is_float=False,
+                  approximable=False, gap=0)
+        for tid, addr in pairs
+    ])
 
 
 class TestMainMemory:
     def test_table_ii_latency(self):
-        memory = MainMemory()
-        assert memory.read(0x0) == 160
-        assert memory.write(0x40) == 160
+        assert FullSystemConfig().memory_latency == 160
+        trace = loads((0, 0x1000))
+        slow = FullSystemSimulator(FullSystemConfig()).run(trace)
+        free = FullSystemSimulator(FullSystemConfig(memory_latency=0)).run(trace)
+        assert slow.memory_accesses == free.memory_accesses == 1
+        assert slow.total_miss_latency - free.total_miss_latency == 160
 
     def test_access_counting(self):
-        memory = MainMemory()
-        memory.read(0x0)
-        memory.read(0x40)
-        memory.write(0x80)
-        assert memory.stats.reads == 2
-        assert memory.stats.writes == 1
-        assert memory.stats.accesses == 3
+        # Two cores miss on one block: the first goes to memory, the
+        # second finds it in the shared L2.
+        result = FullSystemSimulator(FullSystemConfig()).run(loads((0, 0x1000), (1, 0x1000)))
+        assert result.raw_misses == result.l2_accesses == 2
+        assert result.memory_accesses == 1
 
     def test_invalid_latency_rejected(self):
         with pytest.raises(ConfigurationError):
-            MainMemory(latency=-1)
-
-    def test_reset(self):
-        memory = MainMemory()
-        memory.read(0x0)
-        memory.reset()
-        assert memory.stats.accesses == 0
+            FullSystemConfig(memory_latency=-1)

@@ -1,19 +1,17 @@
 """Direct tests for replacement policies and cache blocks."""
 
-import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mem.block import CacheBlock, CoherenceState
-from repro.mem.replacement import FIFOPolicy, LRUPolicy, RandomPolicy
+from repro.mem.replacement import LRUPolicy
 
 
-def blocks_with(last_uses, inserted_ats=None):
-    inserted_ats = inserted_ats or last_uses
+def blocks_with(last_uses):
     out = []
-    for i, (use, ins) in enumerate(zip(last_uses, inserted_ats)):
+    for i, use in enumerate(last_uses):
         block = CacheBlock(tag=i)
-        block.fill(i, now=ins)
+        block.fill(i, now=0)
         block.last_use = use
         out.append(block)
     return out
@@ -40,42 +38,13 @@ class TestLRU:
         assert uses[victim] == min(uses)
 
 
-class TestFIFO:
-    def test_picks_earliest_insertion(self):
-        ways = blocks_with([9, 9, 9], inserted_ats=[5, 2, 7])
-        assert FIFOPolicy().victim(ways) == 1
-
-    def test_on_hit_does_not_touch_recency(self):
-        block = CacheBlock(1)
-        block.last_use = 7
-        FIFOPolicy().on_hit(block, now=99)
-        assert block.last_use == 7
-
-
-class TestRandom:
-    def test_victim_in_range_and_deterministic_with_seed(self):
-        ways = blocks_with([1, 2, 3, 4])
-        a = RandomPolicy(np.random.default_rng(3))
-        b = RandomPolicy(np.random.default_rng(3))
-        picks_a = [a.victim(ways) for _ in range(20)]
-        picks_b = [b.victim(ways) for _ in range(20)]
-        assert picks_a == picks_b
-        assert all(0 <= p < 4 for p in picks_a)
-
-    def test_eventually_covers_all_ways(self):
-        ways = blocks_with([1, 2, 3, 4])
-        policy = RandomPolicy(np.random.default_rng(0))
-        picks = {policy.victim(ways) for _ in range(200)}
-        assert picks == {0, 1, 2, 3}
-
-
 class TestCacheBlock:
     def test_fill_sets_state(self):
         block = CacheBlock()
         block.fill(0x7, now=3, prefetched=True)
         assert block.valid and block.prefetched
         assert block.state is CoherenceState.SHARED
-        assert block.inserted_at == 3
+        assert block.last_use == 3
 
     def test_invalidate_clears(self):
         block = CacheBlock()

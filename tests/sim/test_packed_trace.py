@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim.trace import TRACE_COLUMNS, LoadEvent, PackedTrace, Trace
-from repro.sim.tracesim import Mode
-from tests.sim.test_replay_pin import edge_traces, replay
+from repro.errors import SimulationError
+from repro.fullsystem import FullSystemConfig, FullSystemSimulator
+from repro.sim.trace import TRACE_COLUMNS, LoadEvent, Trace
+from tests.sim.test_replay_pin import edge_traces
 
 
 def sample_events():
@@ -65,65 +66,6 @@ class TestRoundTrip:
             assert packed.columns()[name].dtype == np.dtype(dtype), name
 
 
-class TestFromArrays:
-    def test_casts_and_accepts_lists(self):
-        packed = PackedTrace.from_arrays(
-            {
-                "tid": [0, 1],
-                "pc": [1, 2],
-                "addr": [16, 32],
-                "value_f": [0.5, 0.0],
-                "value_i": [0, 9],
-                "value_is_int": [False, True],
-                "is_float": [True, False],
-                "approximable": [True, False],
-                "gap": [0, 3],
-                "is_store": [False, False],
-            }
-        )
-        assert packed.value_list() == [0.5, 9]
-
-    def test_legacy_columns_backfilled(self):
-        """Files predating value_is_int/is_store load with the historical
-        semantics: value type follows is_float, no stores."""
-        packed = PackedTrace.from_arrays(
-            {
-                "tid": [0, 0],
-                "pc": [1, 2],
-                "addr": [16, 32],
-                "value_f": [0.5, 7.0],
-                "value_i": [0, 7],
-                "is_float": [True, False],
-                "approximable": [True, False],
-                "gap": [0, 3],
-            }
-        )
-        assert not packed.is_store.any()
-        values = packed.value_list()
-        assert isinstance(values[0], float) and isinstance(values[1], int)
-
-    def test_ragged_columns_rejected(self):
-        with pytest.raises(ValueError):
-            PackedTrace.from_arrays(
-                {
-                    "tid": [0],
-                    "pc": [1],
-                    "addr": [16],
-                    "value_f": [0.5],
-                    "value_i": [0],
-                    "value_is_int": [False],
-                    "is_float": [True, False],  # ragged
-                    "approximable": [True],
-                    "gap": [0],
-                    "is_store": [False],
-                }
-            )
-
-    def test_missing_required_column_rejected(self):
-        with pytest.raises(ValueError):
-            PackedTrace.from_arrays({"is_float": [True]})
-
-
 class TestViews:
     def test_event_tuples_match_events(self):
         trace = Trace(sample_events())
@@ -137,12 +79,14 @@ class TestViews:
         assert Trace(sample_events()).pack().thread_order() == [0, 1, 3]
 
     def test_per_thread_matches_object_split(self):
+        # With a core per thread, each core's queue is that thread's stream.
         trace = Trace(sample_events())
         object_split = trace.per_thread()
-        packed_split = trace.pack().per_thread()
+        packed = trace.pack()
+        packed_split = packed.per_core_indices(num_cores=4)
         assert list(packed_split) == list(object_split)
-        for tid, sub in packed_split.items():
-            assert sub.to_trace().events == object_split[tid]
+        for tid, rows in packed_split.items():
+            assert packed.select(rows).to_trace().events == object_split[tid]
 
     def test_per_core_indices_concatenates_whole_streams(self):
         # tids 0, 1, 3 on 2 cores: core 0 <- tid 0; core 1 <- tid 1 then 3,
@@ -181,7 +125,7 @@ class TestTraceInit:
 
 class TestEdgeCaseTraces:
     """Degenerate traces (empty, store-only, single-event) must round-trip
-    and replay, from a ``Trace`` or a ``PackedTrace``, as pinned."""
+    and replay alike from a ``Trace`` or a ``PackedTrace``."""
 
     @pytest.mark.parametrize("name", ["empty", "store_only", "single_load",
                                       "single_store"])
@@ -193,8 +137,21 @@ class TestEdgeCaseTraces:
 
     @pytest.mark.parametrize("name", ["empty", "store_only", "single_load",
                                       "single_store"])
-    def test_replays_identically_on_all_paths(self, name, replay_pin):
+    def test_replays_identically_on_all_paths(self, name):
+        """The full-system replay of a ``Trace``, of its packed form and
+        through the ``replay_events`` reference agree; an empty trace is
+        refused by all three."""
         trace = edge_traces()[name]
-        expected = replay_pin["edges"][name]
-        assert replay(trace, Mode.LVA) == expected
-        assert replay(trace, Mode.LVA, packed=False) == expected
+        paths = (
+            lambda sim: sim.run(trace),
+            lambda sim: sim.run(trace.pack()),
+            lambda sim: sim.replay_events(trace),
+        )
+        if not len(trace):
+            for path in paths:
+                with pytest.raises(SimulationError):
+                    path(FullSystemSimulator(FullSystemConfig()))
+            return
+        results = [path(FullSystemSimulator(FullSystemConfig())) for path in paths]
+        assert results[0].instructions == trace.total_instructions
+        assert results[1:] == results[:1] * 2

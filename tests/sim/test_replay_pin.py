@@ -1,31 +1,32 @@
-"""Bit-identity pin for open-loop phase-1 replay (:meth:`TraceSimulator.replay`).
+"""Bit-identity pin for phase-1 configurations beyond the default ones.
 
-Replay has one interpreter: it packs its input and walks the event
-tuples through the same ``_serve_load``/``_serve_store`` path a live run
-uses. This suite pins what it produces on small seed-3 captures:
+``test_live_path_pin.py`` pins every technique at its default
+configuration. This suite pins, live and at test scale (seed 3), the rest
+of the phase-1 design space the drivers and ablations reach:
 
-* every technique mode on every baseline workload;
-* the approximator design space on swaptions, under LVA and LVP;
+* the approximator design space on swaptions (the configurations the
+  paper sweeps) and on fluidanimate, which misses far more at test scale,
+  under LVA and LVP;
 * approximation degree, the predictor zoo and prefetcher variants;
 * ``flip``/``drop`` memory-fault specs;
-* degenerate traces (empty, store-only, single event);
-* a second replay continuing on the same simulator.
+* degenerate access streams (none, store-only, single access);
+* a second workload continuing on the same simulator.
 
-Each entry holds ``dataclasses.asdict`` of the final
-``SimulationStats`` (the static-PC set as a sorted list) and the L1
-counters. ``expected/replay_small.json`` was recorded with the packed
-interpreter from the tree that still carried the object and vector
-replay paths, and must never be regenerated to make this suite pass. To
-inspect a divergence, run this file as a script: it prints the current
-snapshot as JSON.
+Each entry has the shape of ``test_live_path_pin.run_point``: the final
+``SimulationStats``, the L1 counters and the SHA-256 of the workload
+output. ``expected/live_configs_small.json`` was recorded from the tree
+that still carried the open-loop replay this suite replaced, and must
+never be regenerated to make this suite pass. To inspect a divergence,
+run this module (``python -m tests.sim.test_replay_pin``): it prints the
+current snapshot as JSON.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,11 +35,12 @@ from repro.core.config import INFINITE_WINDOW, ApproximatorConfig
 from repro.envspec import INJECT_ENV, PREDICTOR_ENV
 from repro.experiments.common import BASELINE_WORKLOADS
 from repro.prefetch.nextline import NextLinePrefetcher
-from repro.sim.trace import LoadEvent, Trace, TraceRecorder
+from repro.sim.trace import LoadEvent, Trace
 from repro.sim.tracesim import Mode, TraceSimulator
 from repro.workloads import get_workload
+from tests.sim.test_live_path_pin import SEED, _digest_output
 
-SEED = 3
+EXPECTED = Path(__file__).parent / "expected" / "live_configs_small.json"
 
 MODES = {
     "precise": Mode.PRECISE,
@@ -47,7 +49,7 @@ MODES = {
     "prefetch": Mode.PREFETCH,
 }
 
-#: label -> approximator config, replayed on swaptions under LVA and LVP.
+#: label -> approximator config, run under LVA and LVP.
 SWEEP_CONFIGS = {
     "default": ApproximatorConfig(),
     "ghb2": ApproximatorConfig(ghb_size=2),
@@ -66,7 +68,11 @@ SWEEP_CONFIGS = {
     "delay9": ApproximatorConfig(value_delay=9),
 }
 
-#: label -> config replayed on fluidanimate (LVA unless a predictor is named).
+#: Workloads the design space runs on (swaptions barely misses at test
+#: scale, so fluidanimate carries most of the signal).
+SWEEP_WORKLOADS = ["swaptions", "fluidanimate"]
+
+#: label -> config run on fluidanimate (LVA unless a predictor is named).
 FLUIDANIMATE_CONFIGS = {
     "deg2": ApproximatorConfig(approximation_degree=2),
     "deg4-ghb2": ApproximatorConfig(approximation_degree=4, ghb_size=2),
@@ -93,6 +99,7 @@ FAULT_MODES = ["lva", "lvp", "precise"]
 
 
 def edge_traces() -> dict:
+    """Degenerate access streams, as traces (see :func:`issue`)."""
     return {
         "empty": Trace(),
         "store_only": Trace([
@@ -111,110 +118,121 @@ def edge_traces() -> dict:
     }
 
 
-def capture(name: str) -> Trace:
-    recorder = TraceRecorder(record_stores=True)
-    sim = TraceSimulator(Mode.PRECISE, recorder=recorder)
-    get_workload(name, small=True).execute(sim, SEED)
-    sim.finish()
-    return recorder.trace
+def record(sim: TraceSimulator, output: object = None) -> dict:
+    """Finish ``sim`` and return its pinned state."""
+    stats = sim.finish()
+    return {
+        "stats": stats.as_dict(),
+        "static_approx_pcs": len(stats.static_approx_pcs),
+        "l1": sim.l1.stats.as_dict(),
+        "output_sha256": _digest_output(output),
+    }
 
 
-def _state(sim: TraceSimulator, stats) -> dict:
-    fields = dataclasses.asdict(stats)
-    fields["static_approx_pcs"] = sorted(fields["static_approx_pcs"])
-    return {"stats": fields, "l1": sim.l1.stats.as_dict()}
-
-
-def replay(trace: Trace, mode: Mode, config=None, packed: bool = True, **kwargs) -> dict:
-    """Replay ``trace`` (packed first unless ``packed`` is False)."""
+def live_run(name: str, mode: Mode, config=None, **kwargs):
+    """One live run of ``name``; returns the simulator and its record."""
     sim = TraceSimulator(mode, approximator_config=config, **kwargs)
-    return _state(sim, sim.replay(trace.pack() if packed else trace))
+    output = get_workload(name, small=True).execute(sim, SEED)
+    return sim, record(sim, output)
 
 
-def _predictor_mode(config: ApproximatorConfig) -> Mode:
+def live(name: str, mode: Mode, config=None, **kwargs) -> dict:
+    return live_run(name, mode, config, **kwargs)[1]
+
+
+def issue(sim: TraceSimulator, trace: Trace) -> dict:
+    """Issue ``trace``'s events live through the frontend API: the gap
+    as non-memory instructions, then the store or load itself."""
+    for event in trace:
+        sim.set_thread(event.tid)
+        sim.advance(event.gap)
+        if event.is_store:
+            sim.store(event.addr, event.value)
+            continue
+        sim.values.setdefault(event.addr, event.value)
+        if event.approximable:
+            sim.load_approx(event.pc, event.addr, event.is_float)
+        else:
+            sim.load(event.pc, event.addr)
+    return record(sim)
+
+
+def predictor_mode(config: ApproximatorConfig) -> Mode:
     return Mode.PREDICTOR if config.predictor else Mode.LVA
 
 
-def snapshot_modes(traces: dict) -> dict:
+def snapshot_sweep() -> dict:
     return {
-        name: {label: replay(traces[name], mode) for label, mode in MODES.items()}
-        for name in BASELINE_WORKLOADS
-    }
-
-
-def snapshot_sweep(traces: dict) -> dict:
-    return {
-        label: {
-            technique: replay(traces["swaptions"], MODES[technique], config)
-            for technique in ("lva", "lvp")
+        name: {
+            label: {
+                technique: live(name, MODES[technique], config)
+                for technique in ("lva", "lvp")
+            }
+            for label, config in SWEEP_CONFIGS.items()
         }
-        for label, config in SWEEP_CONFIGS.items()
+        for name in SWEEP_WORKLOADS
     }
 
 
-def snapshot_fluidanimate(traces: dict) -> dict:
+def snapshot_fluidanimate() -> dict:
     return {
-        label: replay(traces["fluidanimate"], _predictor_mode(config), config)
+        label: live("fluidanimate", predictor_mode(config), config)
         for label, config in FLUIDANIMATE_CONFIGS.items()
     }
 
 
-def snapshot_degree(traces: dict) -> dict:
+def snapshot_degree() -> dict:
     return {
         name: {
-            str(degree): replay(
-                traces[name], Mode.LVA, ApproximatorConfig(approximation_degree=degree)
-            )
+            str(degree): live(name, Mode.LVA, ApproximatorConfig(approximation_degree=degree))
             for degree in (1, 2, 3)
         }
         for name in BASELINE_WORKLOADS
     }
 
 
-def snapshot_predictors(traces: dict) -> dict:
+def snapshot_predictors() -> dict:
     zoo = {
         name: {
-            predictor: replay(
-                traces[name], Mode.PREDICTOR, ApproximatorConfig(predictor=predictor)
-            )
+            predictor: live(name, Mode.PREDICTOR, ApproximatorConfig(predictor=predictor))
             for predictor in PREDICTORS
         }
         for name in BASELINE_WORKLOADS
     }
     zoo["bodytrack-delays"] = {
-        f"{predictor}-delay{delay}": replay(
-            traces["bodytrack"],
+        f"{predictor}-delay{delay}": live(
+            "bodytrack",
             Mode.PREDICTOR,
             ApproximatorConfig(predictor=predictor, value_delay=delay),
         )
         for predictor in ("clp", "hybrid")
         for delay in (0, 9)
     }
-    zoo["x264-hybrid-deg2"] = replay(
-        traces["x264"],
+    zoo["x264-hybrid-deg2"] = live(
+        "x264",
         Mode.PREDICTOR,
         ApproximatorConfig(predictor="hybrid", approximation_degree=2),
     )
     return zoo
 
 
-def snapshot_prefetch(traces: dict) -> dict:
+def snapshot_prefetch() -> dict:
     return {
-        "canneal-degree1": replay(traces["canneal"], Mode.PREFETCH, prefetch_degree=1),
-        "canneal-degree8": replay(traces["canneal"], Mode.PREFETCH, prefetch_degree=8),
-        "fluidanimate-nextline4": replay(
-            traces["fluidanimate"], Mode.PREFETCH, prefetcher=NextLinePrefetcher(degree=4)
+        "canneal-degree1": live("canneal", Mode.PREFETCH, prefetch_degree=1),
+        "canneal-degree8": live("canneal", Mode.PREFETCH, prefetch_degree=8),
+        "fluidanimate-nextline4": live(
+            "fluidanimate", Mode.PREFETCH, prefetcher=NextLinePrefetcher(degree=4)
         ),
     }
 
 
-def snapshot_faults(traces: dict) -> dict:
+def snapshot_faults() -> dict:
     result = {}
     for spec in FAULT_SPECS:
         os.environ[INJECT_ENV] = spec
         try:
             result[spec] = {
-                name: {label: replay(traces[name], MODES[label]) for label in FAULT_MODES}
+                name: {label: live(name, MODES[label]) for label in FAULT_MODES}
                 for name in FAULT_WORKLOADS
             }
         finally:
@@ -224,28 +242,33 @@ def snapshot_faults(traces: dict) -> dict:
 
 def snapshot_edges() -> dict:
     return {
-        label: replay(trace, Mode.LVA) for label, trace in edge_traces().items()
+        label: issue(TraceSimulator(Mode.LVA), trace)
+        for label, trace in edge_traces().items()
     }
 
 
-def snapshot_continuation(traces: dict) -> dict:
-    """A second replay on the same simulator continues from its state."""
+def snapshot_continuation() -> dict:
+    """A second workload on the same simulator continues from its state."""
     result = {}
     for label in ("lva", "lvp"):
         sim = TraceSimulator(MODES[label])
-        sim.replay(traces["swaptions"].pack())
-        result[label] = _state(sim, sim.replay(traces["blackscholes"].pack()))
+        get_workload("swaptions", small=True).execute(sim, SEED)
+        output = get_workload("blackscholes", small=True).execute(sim, SEED)
+        result[label] = record(sim, output)
     return result
 
 
 @pytest.fixture(scope="module")
-def traces() -> dict:
-    """Clean captures (fault injection never applies to capture)."""
-    saved = {var: os.environ.pop(var, None) for var in (INJECT_ENV, PREDICTOR_ENV)}
-    try:
-        return {name: capture(name) for name in BASELINE_WORKLOADS}
-    finally:
-        os.environ.update({var: value for var, value in saved.items() if value is not None})
+def live_pin() -> dict:
+    with EXPECTED.open() as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def default_pin() -> dict:
+    """The default-configuration entries of ``live_path_small.json``."""
+    with (EXPECTED.parent / "live_path_small.json").open() as fh:
+        return json.load(fh)["techniques"]
 
 
 @pytest.fixture(autouse=True)
@@ -255,66 +278,78 @@ def _clean_environment(monkeypatch):
 
 
 class TestReplayPin:
-    def test_modes(self, replay_pin, traces):
-        assert snapshot_modes(traces) == replay_pin["modes"]
+    def test_modes(self, default_pin):
+        current = {
+            name: {label: live(name, mode) for label, mode in MODES.items()}
+            for name in BASELINE_WORKLOADS
+        }
+        assert current == {
+            name: {label: default_pin[name][label] for label in MODES}
+            for name in BASELINE_WORKLOADS
+        }
 
-    def test_config_sweep(self, replay_pin, traces):
-        assert snapshot_sweep(traces) == replay_pin["sweep"]
+    def test_config_sweep(self, live_pin):
+        current = snapshot_sweep()
+        # Guard against a vacuous pin: the design space must move the
+        # fluidanimate results.
+        runs = current["fluidanimate"]
+        assert len({json.dumps(point["lva"]) for point in runs.values()}) > 1
+        assert current == live_pin["sweep"]
 
-    def test_fluidanimate_configs(self, replay_pin, traces):
-        current = snapshot_fluidanimate(traces)
+    def test_fluidanimate_configs(self, live_pin):
+        current = snapshot_fluidanimate()
         # Guard against a vacuous pin: degree must skip fetches, and the
         # cache-level predictor must cover misses.
         assert current["deg2"]["stats"]["fetches_avoided"] > 0
         assert current["clp"]["stats"]["covered_misses"] > 0
-        assert current == replay_pin["fluidanimate"]
+        assert current == live_pin["fluidanimate"]
 
-    def test_degree(self, replay_pin, traces):
-        assert snapshot_degree(traces) == replay_pin["degree"]
+    def test_degree(self, live_pin):
+        assert snapshot_degree() == live_pin["degree"]
 
-    def test_predictor_zoo(self, replay_pin, traces):
-        current = snapshot_predictors(traces)
+    def test_predictor_zoo(self, live_pin):
+        current = snapshot_predictors()
         assert current["x264-hybrid-deg2"]["stats"]["fetches_avoided"] > 0
-        assert current == replay_pin["predictors"]
+        assert current == live_pin["predictors"]
 
-    def test_prefetch(self, replay_pin, traces):
-        current = snapshot_prefetch(traces)
+    def test_prefetch(self, live_pin):
+        current = snapshot_prefetch()
         assert all(point["stats"]["prefetch_fetches"] > 0 for point in current.values())
-        assert current == replay_pin["prefetch"]
+        assert current == live_pin["prefetch"]
 
-    def test_memory_faults(self, replay_pin, traces):
-        current = snapshot_faults(traces)
+    def test_memory_faults(self, live_pin):
+        current = snapshot_faults()
         # Guard against a vacuous pin: every spec perturbs fluidanimate
         # (swaptions barely misses at test scale, so one flip may not land).
-        clean = snapshot_modes(traces)["fluidanimate"]
+        clean = {label: live("fluidanimate", MODES[label]) for label in FAULT_MODES}
         for spec, runs in current.items():
             points = runs["fluidanimate"]
             assert any(
                 points[label]["stats"] != clean[label]["stats"] for label in points
             ), f"{spec} left fluidanimate unperturbed"
-        assert current == replay_pin["faults"]
+        assert current == live_pin["faults"]
 
-    def test_degenerate_traces(self, replay_pin):
+    def test_degenerate_traces(self, live_pin):
         current = snapshot_edges()
         assert current["empty"]["stats"]["instructions"] == 0
-        assert current == replay_pin["edges"]
+        assert current == live_pin["edges"]
 
-    def test_second_replay_continues(self, replay_pin, traces):
-        assert snapshot_continuation(traces) == replay_pin["continuation"]
+    def test_second_replay_continues(self, live_pin):
+        assert snapshot_continuation() == live_pin["continuation"]
 
 
 def _snapshot_all() -> dict:
-    traces = {name: capture(name) for name in BASELINE_WORKLOADS}
+    for var in (INJECT_ENV, PREDICTOR_ENV, telemetry.TELEMETRY_ENV, telemetry.TRACE_ENV):
+        os.environ.pop(var, None)
     return {
-        "modes": snapshot_modes(traces),
-        "sweep": snapshot_sweep(traces),
-        "fluidanimate": snapshot_fluidanimate(traces),
-        "degree": snapshot_degree(traces),
-        "predictors": snapshot_predictors(traces),
-        "prefetch": snapshot_prefetch(traces),
-        "faults": snapshot_faults(traces),
+        "sweep": snapshot_sweep(),
+        "fluidanimate": snapshot_fluidanimate(),
+        "degree": snapshot_degree(),
+        "predictors": snapshot_predictors(),
+        "prefetch": snapshot_prefetch(),
+        "faults": snapshot_faults(),
         "edges": snapshot_edges(),
-        "continuation": snapshot_continuation(traces),
+        "continuation": snapshot_continuation(),
     }
 
 

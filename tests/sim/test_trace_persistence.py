@@ -1,6 +1,12 @@
-"""Tests for trace save/load round-tripping."""
+"""Traces persist through the trace store without loss.
 
+The trace store (:mod:`repro.experiments.tracestore`) is the one on-disk
+trace format: it holds the packed columns that phase-2 replays read.
+"""
 
+import pytest
+
+from repro.experiments import tracestore
 from repro.sim.trace import LoadEvent, Trace
 
 
@@ -15,34 +21,38 @@ def sample_trace():
     ])
 
 
-class TestRoundTrip:
-    def test_events_identical_after_roundtrip(self, tmp_path):
-        path = str(tmp_path / "trace.npz")
-        original = sample_trace()
-        original.save(path)
-        restored = Trace.load(path)
-        assert restored.events == original.events
+@pytest.fixture
+def round_trip(tmp_path):
+    """Put a trace into a fresh store and read it back as a Trace."""
+    store = tracestore.TraceStore(directory=tmp_path / "traces")
+    counter = iter(range(10**6))
 
-    def test_value_types_preserved(self, tmp_path):
-        path = str(tmp_path / "trace.npz")
-        sample_trace().save(path)
-        restored = Trace.load(path)
+    def put_get(trace: Trace) -> Trace:
+        key = f"{next(counter):064d}"
+        store.put(key, trace.pack())
+        return store.get(key).to_trace()
+
+    return put_get
+
+
+class TestRoundTrip:
+    def test_events_identical_after_roundtrip(self, round_trip):
+        original = sample_trace()
+        assert round_trip(original).events == original.events
+
+    def test_value_types_preserved(self, round_trip):
+        restored = round_trip(sample_trace())
         assert isinstance(restored.events[0].value, float)
         assert isinstance(restored.events[1].value, int)
 
-    def test_large_int_values_exact(self, tmp_path):
-        path = str(tmp_path / "trace.npz")
-        sample_trace().save(path)
-        restored = Trace.load(path)
-        assert restored.events[2].value == 2**40
+    def test_large_int_values_exact(self, round_trip):
+        assert round_trip(sample_trace()).events[2].value == 2**40
 
-    def test_total_instructions_preserved(self, tmp_path):
-        path = str(tmp_path / "trace.npz")
+    def test_total_instructions_preserved(self, round_trip):
         original = sample_trace()
-        original.save(path)
-        assert Trace.load(path).total_instructions == original.total_instructions
+        assert round_trip(original).total_instructions == original.total_instructions
 
-    def test_workload_trace_roundtrip(self, tmp_path):
+    def test_workload_trace_roundtrip(self, round_trip):
         """A real captured trace replays identically after persistence."""
         from repro import FullSystemConfig, FullSystemSimulator, Mode, TraceRecorder, TraceSimulator, get_workload
 
@@ -51,9 +61,7 @@ class TestRoundTrip:
         get_workload("swaptions", small=True).execute(sim, 3)
         sim.finish()
 
-        path = str(tmp_path / "swaptions.npz")
-        recorder.trace.save(path)
-        restored = Trace.load(path)
+        restored = round_trip(recorder.trace)
 
         a = FullSystemSimulator(FullSystemConfig()).run(recorder.trace)
         b = FullSystemSimulator(FullSystemConfig()).run(restored)
